@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci bench generate
+.PHONY: build test race vet ci gen-check bench generate
 
 build:
 	$(GO) build ./...
@@ -14,51 +14,24 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# ci is the gate: everything builds, vets clean, the full test suite
-# passes under the race detector (with a doubled run over the tuning
-# controllers and the datapath they govern, to shake out ordering
-# flakes), the batching smoke criterion (Hermit batch>=32 at least 2x
-# unbatched launch rate) holds, a seeded churn storm against a
-# governed server upholds the resource invariants (no leaked device
-# bytes, no scheduler ghosts, surviving digests bit-identical), a
-# fleet storm that kills 1 of 3 members mid-workload loses no
-# session, keeps digests bit-identical to a single-server run, and
-# stays under 5% routed-vs-direct overhead, the transport ablation
-# proves all four transfer methods bit-preserving with the zero-copy
-# paths beating parallel sockets and the shm bulk path
-# allocation-free, and the self-tuning ablation shows the adaptive
-# window+admission matching the best static config's throughput with
-# a tighter tail under shifting open-loop load. The migration smoke
-# live-migrates a session off the busiest of 3 members mid-workload
-# (zero lost sessions, digests identical, cutover delta <=50% of a
-# full checkpoint, pause under the gate) and aborts cleanly back to
-# the source when the target dies mid-copy; the extra race leg doubles
-# down on the migration paths in fleet and cricket. The elastic smoke
-# drives the dynamic-membership control plane through a seeded chaos
-# plan — runtime join, heartbeat-partition TTL eviction and heal,
-# graceful retire, scale-to-zero park, and a coalesced wake-on-attach
-# storm — gating zero lost sessions, bit-identical digests, exactly
-# one cold start per wake storm, and cold attach dearer than warm.
-# The datacenter smoke plays a seeded diurnal inference trace against
-# an elastic serving fleet — park at the trough, wake-on-attach at the
-# ramp, batch-class shed at the peak — gating zero lost requests,
-# token digests bit-identical to a static single-server run, at least
-# one park and one cold start, a bounded shed rate with the latency
-# class shed no more than batch, and the latency-class p99 TTFT inside
-# its budget; the serve race leg doubles down on the scheduler that
-# run exercises.
-ci: build vet race
-	$(GO) test -race -count=2 ./internal/tune ./internal/cricket
-	$(GO) test -race ./internal/fleet ./internal/cricket
-	$(GO) test -race ./internal/serve
-	$(GO) run ./cmd/benchharness -ablation-batch -smoke
-	$(GO) run ./cmd/benchharness -churn-smoke -ci
-	$(GO) run ./cmd/benchharness -fleet-smoke -ci
-	$(GO) run ./cmd/benchharness -migrate-smoke -ci
-	$(GO) run ./cmd/benchharness -elastic-smoke -ci
-	$(GO) run ./cmd/benchharness -transport-smoke -ci
-	$(GO) run ./cmd/benchharness -adaptive-smoke -ci
-	$(GO) run ./cmd/benchharness -datacenter-smoke -ci
+# ci is the gate. Each leg's comment names what it holds.
+ci: build vet race gen-check
+	$(GO) test -race -count=2 ./internal/tune ./internal/cricket  # doubled run: ordering flakes in the tuners and the datapath
+	$(GO) test -race ./internal/fleet ./internal/cricket          # migration paths
+	$(GO) test -race ./internal/serve                             # the serving scheduler
+	$(GO) run ./cmd/benchharness -ablation-batch -smoke           # Hermit batch>=32 launches at >=2x the unbatched rate
+	$(GO) run ./cmd/benchharness -churn-smoke -ci                 # churn storm: no leaked bytes or scheduler ghosts, digests identical
+	$(GO) run ./cmd/benchharness -fleet-smoke -ci                 # kill 1 of 3 members: no lost session, digests identical, <5% routed overhead
+	$(GO) run ./cmd/benchharness -migrate-smoke -ci               # live migration: delta <=50% of full, pause under the gate, clean abort
+	$(GO) run ./cmd/benchharness -elastic-smoke -ci               # join/evict/heal/retire/park: one cold start per wake storm
+	$(GO) run ./cmd/benchharness -transport-smoke -ci             # four transports bit-preserving, zero-copy beats sockets, shm 0 allocs
+	$(GO) run ./cmd/benchharness -adaptive-smoke -ci              # adaptive window matches best static throughput, tighter tail
+	$(GO) run ./cmd/benchharness -datacenter-smoke -ci            # diurnal serving trace: no lost request, digests identical, p99 TTFT in budget
+
+# gen-check fails when a committed gen_*.go differs from what rpcgen
+# emits for its .x file.
+gen-check: generate
+	git diff --exit-code -- '*/gen_*.go'
 
 bench:
 	$(GO) run ./cmd/benchharness -all -ci

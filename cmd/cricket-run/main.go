@@ -7,7 +7,7 @@
 //
 //	cricket-run -app matrixmul                      # in-proc, native Rust profile
 //	cricket-run -app histogram -platform Hermit     # in-proc, RustyHermit profile
-//	cricket-run -app solver -server 127.0.0.1:9999  # against a real server
+//	cricket-run -server 127.0.0.1:9999              # smoke test against a real server
 //	cricket-run -app bandwidth -direction d2h
 package main
 
@@ -98,7 +98,15 @@ func main() {
 		if *session {
 			runSession(*server, opts, *pauseMs, *migrateTo, sessionWindow(*window, *adaptiveWindow))
 		} else {
-			runRemote(*server, opts, *app)
+			// The plain remote mode runs a fixed smoke workload; refuse
+			// the flags it would otherwise silently ignore.
+			flag.Visit(func(f *flag.Flag) {
+				if f.Name == "app" || f.Name == "iters" || f.Name == "paper-scale" {
+					fmt.Fprintf(os.Stderr, "cricket-run: -%s has no effect with a non-session -server, which runs a fixed smoke test\n", f.Name)
+					os.Exit(2)
+				}
+			})
+			runRemote(*server, opts)
 		}
 		dumpTrace(col, *traceOut)
 		return
@@ -213,7 +221,7 @@ func dumpTrace(col *obs.Collector, path string) {
 // runRemote issues a smoke workload against a real TCP server: device
 // discovery plus a memory round trip. Applications measure themselves
 // over real networks, so no simulated platform costs apply.
-func runRemote(addr string, opts cricket.Options, app string) {
+func runRemote(addr string, opts cricket.Options) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		fatal(err)
@@ -261,7 +269,6 @@ func runRemote(addr string, opts cricket.Options, app string) {
 		fatal(err)
 	}
 	fmt.Printf("memory round trip (1 MiB): ok=%v\n", ok)
-	_ = app
 }
 
 // runSession drives a matrixMul workload through a fault-tolerant

@@ -286,7 +286,7 @@ func TestBandwidthAsymmetryOnHermit(t *testing.T) {
 }
 
 // TestAppsBatchedBitIdentical runs every registered proxy application
-// with the client's BATCH_EXEC queue on and off: results must be
+// with the session's BATCH_EXEC queue on and off: results must be
 // bit-identical (same output digest) and the per-run Stats must not
 // change — the batching layer is a pure transport optimization. New
 // workloads added to the registry are covered automatically.
@@ -297,7 +297,7 @@ func TestAppsBatchedBitIdentical(t *testing.T) {
 			exec := func(opts cricket.Options) Result {
 				cl := core.NewCluster()
 				defer cl.Close()
-				vg, err := cl.ConnectOpts(guest.RustyHermit(), opts)
+				vg, err := cl.ConnectSession(guest.RustyHermit(), opts)
 				if err != nil {
 					t.Fatal(err)
 				}

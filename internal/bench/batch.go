@@ -13,7 +13,7 @@ import (
 
 // A BatchPoint is one (platform, batch size) measurement of the
 // batching ablation: the Fig 6c kernel-launch microbenchmark run with
-// the client's BATCH_EXEC queue set to the given size.
+// the session's BATCH_EXEC queue set to the given size.
 type BatchPoint struct {
 	Platform string `json:"platform"`
 	// Batch is the queue threshold; 0 means batching disabled (every
@@ -32,7 +32,7 @@ type BatchPoint struct {
 // two through 256.
 var DefaultBatchSizes = []int{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// AblationBatch sweeps the client batch size over the Fig 6c
+// AblationBatch sweeps the session batch size over the Fig 6c
 // kernel-launch microbenchmark on every guest platform. Each point
 // issues `calls` launches of the builtin vectorAdd kernel and then
 // synchronizes, so the measured window always covers the final queue
@@ -58,67 +58,73 @@ func AblationBatch(calls int, sizes []int) ([]BatchPoint, error) {
 	return points, nil
 }
 
-// batchPoint measures one platform at one batch size.
+// batchPoint measures one platform at one batch size, on a fresh
+// single-A100 cluster and a session-backed client (Session owns the
+// BATCH_EXEC queue).
 func batchPoint(p guest.Platform, batch, calls int) (BatchPoint, error) {
 	var pt BatchPoint
-	err := withVG(p, cricket.Options{Batch: batch}, func(vg *core.VirtualGPU) error {
-		var fb cubin.FatBinary
-		fb.AddImage(cuda.BuiltinImage(80), true)
-		mod, err := vg.LoadModule(fb.Encode())
-		if err != nil {
-			return err
-		}
-		f, err := mod.Function(cuda.KernelVectorAdd)
-		if err != nil {
-			return err
-		}
-		const n = 256
-		a, err := vg.Alloc(n * 4)
-		if err != nil {
-			return err
-		}
-		b, err := vg.Alloc(n * 4)
-		if err != nil {
-			return err
-		}
-		out, err := vg.Alloc(n * 4)
-		if err != nil {
-			return err
-		}
-		grid := gpu.Dim3{X: 1, Y: 1, Z: 1}
-		block := gpu.Dim3{X: 256, Y: 1, Z: 1}
-		args := cuda.NewArgBuffer().Ptr(a.Ptr()).Ptr(b.Ptr()).Ptr(out.Ptr()).I32(n).Bytes()
-		// Verify one full launch, then replay the sweep timing-only.
-		if err := vg.Launch(f, grid, block, 0, args); err != nil {
-			return err
-		}
-		if err := vg.Synchronize(); err != nil {
-			return err
-		}
-		vg.Cluster().SetTimingOnly(true)
-		defer vg.Cluster().SetTimingOnly(false)
+	cl := core.NewCluster()
+	defer cl.Close()
+	vg, err := cl.ConnectSession(p, cricket.Options{Batch: batch})
+	if err != nil {
+		return pt, err
+	}
+	defer vg.Close()
 
-		start := vg.Now()
-		for i := 0; i < calls; i++ {
-			if err := vg.Launch(f, grid, block, 0, args); err != nil {
-				return err
-			}
+	var fb cubin.FatBinary
+	fb.AddImage(cuda.BuiltinImage(80), true)
+	mod, err := vg.LoadModule(fb.Encode())
+	if err != nil {
+		return pt, err
+	}
+	f, err := mod.Function(cuda.KernelVectorAdd)
+	if err != nil {
+		return pt, err
+	}
+	const n = 256
+	a, err := vg.Alloc(n * 4)
+	if err != nil {
+		return pt, err
+	}
+	b, err := vg.Alloc(n * 4)
+	if err != nil {
+		return pt, err
+	}
+	out, err := vg.Alloc(n * 4)
+	if err != nil {
+		return pt, err
+	}
+	grid := gpu.Dim3{X: 1, Y: 1, Z: 1}
+	block := gpu.Dim3{X: 256, Y: 1, Z: 1}
+	args := cuda.NewArgBuffer().Ptr(a.Ptr()).Ptr(b.Ptr()).Ptr(out.Ptr()).I32(n).Bytes()
+	// Verify one full launch, then replay the sweep timing-only.
+	if err := vg.Launch(f, grid, block, 0, args); err != nil {
+		return pt, err
+	}
+	if err := vg.Synchronize(); err != nil {
+		return pt, err
+	}
+	cl.SetTimingOnly(true)
+	defer cl.SetTimingOnly(false)
+
+	start := vg.Now()
+	for i := 0; i < calls; i++ {
+		if err := vg.Launch(f, grid, block, 0, args); err != nil {
+			return pt, err
 		}
-		// The sync point drains the queue and surfaces any deferred
-		// batch error, CUDA-style.
-		if err := vg.Synchronize(); err != nil {
-			return err
-		}
-		elapsed := vg.Now() - start
-		pt = BatchPoint{
-			Platform:      p.Name,
-			Batch:         batch,
-			CallsPerSec:   float64(calls) / elapsed.Seconds(),
-			TimeToSyncSec: elapsed.Seconds(),
-		}
-		return nil
-	})
-	return pt, err
+	}
+	// The sync point drains the queue and surfaces any deferred
+	// batch error, CUDA-style.
+	if err := vg.Synchronize(); err != nil {
+		return pt, err
+	}
+	elapsed := vg.Now() - start
+	return BatchPoint{
+		Platform:      p.Name,
+		Batch:         batch,
+		CallsPerSec:   float64(calls) / elapsed.Seconds(),
+		TimeToSyncSec: elapsed.Seconds(),
+	}, nil
 }
 
 // BatchSpeedup reports the calls/s ratio of the best measured point at

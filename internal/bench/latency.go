@@ -32,7 +32,11 @@ func LatencyProfile(p guest.Platform, calls int) (obs.Metrics, error) {
 
 	run := func(opts cricket.Options, batched bool) error {
 		opts.Obs = col
-		vg, err := cl.ConnectOpts(p, opts)
+		connect := cl.ConnectOpts
+		if batched {
+			connect = cl.ConnectSession // the queue lives in Session
+		}
+		vg, err := connect(p, opts)
 		if err != nil {
 			return err
 		}

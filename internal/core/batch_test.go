@@ -48,12 +48,12 @@ func TestFairShareAccountsPerBatchEntryNotPerRPC(t *testing.T) {
 	sched := cl.Cricket.Scheduler()
 	sched.SetPolicy(cricket.PolicyFairShare)
 
-	batched, err := cl.ConnectOpts(guest.RustyHermit(), cricket.Options{Batch: 16})
+	batched, err := cl.ConnectSession(guest.RustyHermit(), cricket.Options{Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer batched.Close()
-	plain, err := cl.ConnectOpts(guest.RustyHermit(), cricket.Options{})
+	plain, err := cl.ConnectSession(guest.RustyHermit(), cricket.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCoreStatsBatchingInvariant(t *testing.T) {
 	run := func(opts cricket.Options) cricket.Stats {
 		cl := NewCluster()
 		defer cl.Close()
-		vg, err := cl.ConnectOpts(guest.RustyHermit(), opts)
+		vg, err := cl.ConnectSession(guest.RustyHermit(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,5 +100,22 @@ func TestCoreStatsBatchingInvariant(t *testing.T) {
 	batched := run(cricket.Options{Batch: 8})
 	if plain != batched {
 		t.Fatalf("stats diverge:\n  unbatched %+v\n  batched   %+v", plain, batched)
+	}
+}
+
+// ConnectOpts hands out a plain client with no queue: it must refuse
+// Options.Batch rather than ignore it, and leave nothing attached.
+func TestConnectOptsRefusesBatch(t *testing.T) {
+	cl := NewCluster()
+	defer cl.Close()
+	if vg, err := cl.ConnectOpts(guest.RustyHermit(), cricket.Options{Batch: 8}); err == nil {
+		vg.Close()
+		t.Fatal("ConnectOpts accepted Options.Batch")
+	}
+	if n := len(cl.Cricket.Scheduler().Clients()); n != 0 {
+		t.Fatalf("refused connect left %d scheduler clients", n)
+	}
+	if n := len(cl.conns); n != 0 {
+		t.Fatalf("refused connect left %d connections on the cluster", n)
 	}
 }

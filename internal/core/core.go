@@ -87,19 +87,57 @@ func (cl *Cluster) Connect(platform guest.Platform) (*VirtualGPU, error) {
 
 // ConnectOpts is Connect with explicit Cricket client options
 // (transfer method, parallel socket count, timeout). Platform and
-// Clock fields are filled in by the cluster.
+// Clock fields are filled in by the cluster. The VirtualGPU forwards
+// through a plain cricket.Client, one round trip per call.
 func (cl *Cluster) ConnectOpts(platform guest.Platform, opts cricket.Options) (*VirtualGPU, error) {
+	return cl.connect(platform, opts, func(opts cricket.Options) (cricket.API, error) {
+		conn, err := cl.dial()
+		if err != nil {
+			return nil, err
+		}
+		c, err := cricket.Connect(conn, opts)
+		if err != nil {
+			conn.Close()
+			return nil, err
+		}
+		return c, nil
+	})
+}
+
+// ConnectSession is ConnectOpts over a cricket.Session, which honours
+// Options.Batch: asynchronous calls queue and ship as BATCH_EXEC
+// records. The in-process pipe breaks only when the cluster closes, so
+// the session gets one reconnect attempt and fails fast, no backoff.
+func (cl *Cluster) ConnectSession(platform guest.Platform, opts cricket.Options) (*VirtualGPU, error) {
+	return cl.connect(platform, opts, func(opts cricket.Options) (cricket.API, error) {
+		return cricket.NewSession(cricket.SessionOptions{Options: opts, Redial: cl.dial, MaxAttempts: 1})
+	})
+}
+
+// dial opens one in-process pipe to the cluster's RPC server, which
+// tracks the connection while serving it and closes it in Close.
+func (cl *Cluster) dial() (io.ReadWriteCloser, error) {
 	cl.mu.Lock()
+	defer cl.mu.Unlock()
 	if cl.closed {
-		cl.mu.Unlock()
 		return nil, ErrClosed
 	}
+	cliConn, srvConn := net.Pipe()
+	go func() {
+		cl.RPC.ServeConn(srvConn)
+		srvConn.Close() // also when the server closed before tracking it
+	}()
+	return cliConn, nil
+}
+
+// connect fills in the cluster-owned options, admits the client to the
+// scheduler, and wraps what open returns.
+func (cl *Cluster) connect(platform guest.Platform, opts cricket.Options, open func(cricket.Options) (cricket.API, error)) (*VirtualGPU, error) {
+	cl.mu.Lock()
 	cl.nextID++
 	id := fmt.Sprintf("%s-%d", platform.Name, cl.nextID)
 	cl.mu.Unlock()
 
-	cliConn, srvConn := net.Pipe()
-	go cl.RPC.ServeConn(srvConn)
 	opts.Platform = platform
 	opts.Clock = cl.Clock
 	if opts.Transfer == cricket.TransferParallelSockets && opts.DataDial == nil {
@@ -141,26 +179,23 @@ func (cl *Cluster) ConnectOpts(platform guest.Platform, opts cricket.Options) (*
 			return cep, nil
 		}
 	}
-	c, err := cricket.Connect(cliConn, opts)
-	if err != nil {
-		cliConn.Close()
-		srvConn.Close()
-		return nil, err
-	}
+	// Admitted before opening so a session's lease slot, attached by
+	// the server during the handshake, arrives after its client's.
 	if err := cl.Cricket.Scheduler().Attach(id); err != nil {
-		c.Close()
-		srvConn.Close()
 		return nil, err
 	}
-	cl.mu.Lock()
-	cl.conns = append(cl.conns, srvConn)
-	cl.mu.Unlock()
+	api, err := open(opts)
+	if err != nil {
+		cl.Cricket.Scheduler().Detach(id)
+		return nil, err
+	}
 	return &VirtualGPU{
-		cluster: cl,
-		client:  c,
-		id:      id,
-		buffers: make(map[gpu.Ptr]*Buffer),
-		modules: make(map[cuda.Module]*Module),
+		cluster:  cl,
+		api:      api,
+		platform: platform,
+		id:       id,
+		buffers:  make(map[gpu.Ptr]*Buffer),
+		modules:  make(map[cuda.Module]*Module),
 	}, nil
 }
 
@@ -206,9 +241,10 @@ func (cl *Cluster) SetTimingOnly(on bool) {
 // A VirtualGPU is one application's handle on a remote GPU: the full
 // forwarded CUDA API plus lifetime-managed memory.
 type VirtualGPU struct {
-	cluster *Cluster
-	client  *cricket.Client
-	id      string
+	cluster  *Cluster
+	api      cricket.API
+	platform guest.Platform
+	id       string
 
 	mu      sync.Mutex
 	buffers map[gpu.Ptr]*Buffer
@@ -219,12 +255,12 @@ type VirtualGPU struct {
 // ID returns the cluster-assigned client identity.
 func (v *VirtualGPU) ID() string { return v.id }
 
-// Raw exposes the underlying Cricket client for API calls the façade
-// does not wrap.
-func (v *VirtualGPU) Raw() *cricket.Client { return v.client }
+// Raw exposes the underlying cricket.Client (or the cricket.Session of
+// ConnectSession) for API calls the façade does not wrap.
+func (v *VirtualGPU) Raw() cricket.API { return v.api }
 
 // Platform returns the client's execution platform.
-func (v *VirtualGPU) Platform() guest.Platform { return v.client.Platform() }
+func (v *VirtualGPU) Platform() guest.Platform { return v.platform }
 
 // Now returns the simulated time observed by this client.
 func (v *VirtualGPU) Now() time.Duration { return v.cluster.Clock.Now() }
@@ -242,7 +278,7 @@ func (v *VirtualGPU) ChargeHost(d time.Duration) {
 }
 
 // Stats returns the client's call/byte counters.
-func (v *VirtualGPU) Stats() cricket.Stats { return v.client.Stats() }
+func (v *VirtualGPU) Stats() cricket.Stats { return v.api.Stats() }
 
 func (v *VirtualGPU) checkOpen() error {
 	if v.closed {
@@ -258,7 +294,7 @@ func (v *VirtualGPU) DeviceCount() (int, error) {
 	if err := v.checkOpen(); err != nil {
 		return 0, err
 	}
-	return v.client.GetDeviceCount()
+	return v.api.GetDeviceCount()
 }
 
 // DeviceProperties forwards cudaGetDeviceProperties.
@@ -268,7 +304,7 @@ func (v *VirtualGPU) DeviceProperties(dev int) (cuda.DeviceProp, error) {
 	if err := v.checkOpen(); err != nil {
 		return cuda.DeviceProp{}, err
 	}
-	return v.client.GetDeviceProperties(dev)
+	return v.api.GetDeviceProperties(dev)
 }
 
 // Alloc allocates lifetime-managed device memory.
@@ -278,7 +314,7 @@ func (v *VirtualGPU) Alloc(size uint64) (*Buffer, error) {
 	if err := v.checkOpen(); err != nil {
 		return nil, err
 	}
-	p, err := v.client.Malloc(size)
+	p, err := v.api.Malloc(size)
 	if err != nil {
 		return nil, err
 	}
@@ -294,7 +330,7 @@ func (v *VirtualGPU) Checkpoint() error {
 	if err := v.checkOpen(); err != nil {
 		return err
 	}
-	return v.client.Checkpoint()
+	return v.api.Checkpoint()
 }
 
 // Restore forwards a server-side restore request.
@@ -304,7 +340,7 @@ func (v *VirtualGPU) Restore() error {
 	if err := v.checkOpen(); err != nil {
 		return err
 	}
-	return v.client.Restore()
+	return v.api.Restore()
 }
 
 // Close frees every live buffer, unloads modules, detaches from the
@@ -321,19 +357,19 @@ func (v *VirtualGPU) Close() error {
 	var firstErr error
 	for p, b := range v.buffers {
 		b.freed = true
-		if err := v.client.Free(p); err != nil && firstErr == nil {
+		if err := v.api.Free(p); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	v.buffers = nil
 	for m := range v.modules {
-		if err := v.client.ModuleUnload(m); err != nil && firstErr == nil {
+		if err := v.api.ModuleUnload(m); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	v.modules = nil
 	v.cluster.Cricket.Scheduler().Detach(v.id)
-	if err := v.client.Close(); err != nil && firstErr == nil {
+	if err := v.api.Close(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr
@@ -388,7 +424,7 @@ func (b *Buffer) WriteAt(data []byte, off uint64) error {
 	if off+uint64(len(data)) > b.size {
 		return fmt.Errorf("%w: write of %d at %d into %d", ErrSizeMismatch, len(data), off, b.size)
 	}
-	return b.vg.client.MemcpyHtoD(b.ptr+gpu.Ptr(off), data)
+	return b.vg.api.MemcpyHtoD(b.ptr+gpu.Ptr(off), data)
 }
 
 // Read downloads the whole buffer.
@@ -407,7 +443,7 @@ func (b *Buffer) ReadAt(off, n uint64) ([]byte, error) {
 	if off+n > b.size {
 		return nil, fmt.Errorf("%w: read of %d at %d from %d", ErrSizeMismatch, n, off, b.size)
 	}
-	return b.vg.client.MemcpyDtoH(b.ptr+gpu.Ptr(off), n)
+	return b.vg.api.MemcpyDtoH(b.ptr+gpu.Ptr(off), n)
 }
 
 // Memset fills the buffer with a byte value.
@@ -420,7 +456,7 @@ func (b *Buffer) Memset(value byte) error {
 	if err := b.vg.checkOpen(); err != nil {
 		return err
 	}
-	return b.vg.client.Memset(b.ptr, value, b.size)
+	return b.vg.api.Memset(b.ptr, value, b.size)
 }
 
 // Free releases the allocation. A second Free returns ErrFreed
@@ -437,7 +473,7 @@ func (b *Buffer) Free() error {
 	if b.vg.closed {
 		return nil // connection gone; server already reclaimed
 	}
-	return b.vg.client.Free(b.ptr)
+	return b.vg.api.Free(b.ptr)
 }
 
 // A Module is a loaded kernel module with its client-side metadata.
@@ -455,7 +491,7 @@ func (v *VirtualGPU) LoadModule(image []byte) (*Module, error) {
 	if err := v.checkOpen(); err != nil {
 		return nil, err
 	}
-	h, err := v.client.ModuleLoad(image)
+	h, err := v.api.ModuleLoad(image)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +508,7 @@ func (m *Module) Unload() error {
 		return err
 	}
 	delete(m.vg.modules, m.handle)
-	return m.vg.client.ModuleUnload(m.handle)
+	return m.vg.api.ModuleUnload(m.handle)
 }
 
 // Function resolves (and caches) a kernel by name.
@@ -485,7 +521,7 @@ func (m *Module) Function(name string) (cuda.Function, error) {
 	if f, ok := m.funcs[name]; ok {
 		return f, nil
 	}
-	f, err := m.vg.client.ModuleGetFunction(m.handle, name)
+	f, err := m.vg.api.ModuleGetFunction(m.handle, name)
 	if err != nil {
 		return 0, err
 	}
@@ -500,7 +536,7 @@ func (m *Module) Global(name string) (gpu.Ptr, uint64, error) {
 	if err := m.vg.checkOpen(); err != nil {
 		return 0, 0, err
 	}
-	return m.vg.client.ModuleGetGlobal(m.handle, name)
+	return m.vg.api.ModuleGetGlobal(m.handle, name)
 }
 
 // Launch launches a kernel function.
@@ -510,7 +546,7 @@ func (v *VirtualGPU) Launch(f cuda.Function, grid, block gpu.Dim3, sharedMem uin
 	if err := v.checkOpen(); err != nil {
 		return err
 	}
-	err := v.client.LaunchKernel(f, grid, block, sharedMem, 0, args)
+	err := v.api.LaunchKernel(f, grid, block, sharedMem, 0, args)
 	v.cluster.Cricket.Scheduler().Record(v.id, true, 0)
 	return err
 }
@@ -522,5 +558,5 @@ func (v *VirtualGPU) Synchronize() error {
 	if err := v.checkOpen(); err != nil {
 		return err
 	}
-	return v.client.DeviceSynchronize()
+	return v.api.DeviceSynchronize()
 }

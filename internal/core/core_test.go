@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cricket/internal/cricket"
 	"cricket/internal/cubin"
@@ -275,6 +276,33 @@ func TestConnectAfterClose(t *testing.T) {
 	cl.Close()
 	if _, err := cl.Connect(guest.NativeRust()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
+	}
+	if _, err := cl.ConnectSession(guest.NativeRust(), cricket.Options{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("session err = %v", err)
+	}
+}
+
+// A session-backed VirtualGPU that outlives its cluster must fail
+// fast: the pipe cannot come back, so Close may not sit in reconnect
+// backoff once per leaked buffer.
+func TestSessionVGFailsFastAfterClusterClose(t *testing.T) {
+	cl := NewCluster()
+	vg, err := cl.ConnectSession(guest.NativeRust(), cricket.Options{Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := vg.Alloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+	start := time.Now()
+	if err := vg.Close(); !errors.Is(err, cricket.ErrGiveUp) {
+		t.Fatalf("Close after cluster close = %v, want ErrGiveUp", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v backing off against a closed cluster", d)
 	}
 }
 

@@ -3,7 +3,6 @@ package cricket
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"cricket/internal/cuda"
@@ -11,164 +10,21 @@ import (
 	"cricket/internal/obs"
 )
 
-// This file implements the client side of batched execution (see
-// cricket.x BATCH_EXEC): calls whose results the application does not
-// need immediately — kernel launches, stream copies, memsets, event
-// records, stream-sync ordering markers — are appended to a per-client
-// command queue and shipped as one RPC record, amortizing the
-// per-call round trip the paper identifies as the dominant unikernel
-// overhead (§5 "reduce per-call overhead").
-//
-// Queue semantics:
-//
-//   - Entries execute on the server strictly in submission order, so
-//     batching never reorders work relative to the unbatched stream.
-//   - The queue flushes when it reaches Options.Batch entries, when
-//     queued payload bytes exceed Options.BatchBytes, before ANY
-//     other RPC the client issues (a synchronous call must observe
-//     all queued work), on the Options.BatchAge timer, on Flush, and
-//     on Close.
-//   - Per-entry failures are not returned at the call site — the
-//     first failed status is remembered and surfaced once at the next
-//     sync point (DeviceSynchronize, MemcpyDtoH, EventElapsed,
-//     Checkpoint), exactly like CUDA's deferred async error model in
-//     internal/cuda.
-//
-// The enqueue path is allocation-free in steady state: the entry
-// backing array is sized at connect time and each entry's Data buffer
-// is recycled across flushes.
-
-// batchQueue is one client's pending command queue.
-type batchQueue struct {
-	mu       sync.Mutex
-	entries  []BatchEntry
-	bytes    int           // queued Data payload bytes
-	maxN     int           // flush at this many entries
-	maxBytes int           // flush above this many payload bytes
-	age      time.Duration // flush a non-empty queue after this long
-	timer    *time.Timer   // pending age flush, nil when idle
-	deferred error         // first in-band failure awaiting a sync point
-}
-
-// push appends one entry, recycling the backing array and the
-// entry's Data buffer so a warm queue allocates nothing.
-func (q *batchQueue) push(op int32, handle, stream, n uint64, value uint32, grid, block gpu.Dim3, payload []byte) {
-	if len(q.entries) < cap(q.entries) {
-		q.entries = q.entries[:len(q.entries)+1]
-	} else {
-		q.entries = append(q.entries, BatchEntry{})
-	}
-	e := &q.entries[len(q.entries)-1]
-	e.Op = op
-	// Recycled entries may carry a stale trace id from a previous
-	// flush; clear it so BatchExec mints a fresh one when tracing.
-	e.TraceId = 0
-	e.Handle = handle
-	e.Stream = stream
-	e.N = n
-	e.Value = value
-	e.GridX, e.GridY, e.GridZ = grid.X, grid.Y, grid.Z
-	e.BlockX, e.BlockY, e.BlockZ = block.X, block.Y, block.Z
-	e.Data = append(e.Data[:0], payload...)
-	q.bytes += len(payload)
-}
-
-// enqueue queues one asynchronous call and flushes if a threshold is
-// reached. The returned error is a transport failure from a triggered
-// flush, never an in-band CUDA status (those defer to the sync point).
-func (c *Client) enqueue(op int32, handle, stream, n uint64, value uint32, grid, block gpu.Dim3, payload []byte) error {
-	q := c.batch
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	// Flush before pushing when this entry would take the queued
-	// payload past maxBytes; pushing first and checking after shipped
-	// batches above the threshold by up to one entry. The arithmetic
-	// pre-check keeps push's recycled buffers as the only hot path. An
-	// entry larger than maxBytes by itself still ships alone.
-	if len(q.entries) > 0 && q.bytes+len(payload) > q.maxBytes {
-		if err := c.flushLocked(); err != nil {
-			return err
-		}
-	}
-	q.push(op, handle, stream, n, value, grid, block, payload)
-	if len(q.entries) >= q.maxN || q.bytes > q.maxBytes {
-		return c.flushLocked()
-	}
-	if q.age > 0 && q.timer == nil {
-		q.timer = time.AfterFunc(q.age, func() { c.Flush() })
-	}
-	return nil
-}
-
-// flushLocked ships the queue as one BATCH_EXEC. Callers hold q.mu.
-// The queue is emptied even on transport failure: the client cannot
-// know which entries executed, and retrying here would risk double
-// execution (Session, which can, keeps its own replay-safe queue).
-func (c *Client) flushLocked() error {
-	q := c.batch
-	if len(q.entries) == 0 {
-		return nil
-	}
-	if q.timer != nil {
-		q.timer.Stop()
-		q.timer = nil
-	}
-	sts, err := c.BatchExec(q.entries)
-	q.entries = q.entries[:0]
-	q.bytes = 0
-	if err != nil {
-		return err
-	}
-	if q.deferred == nil {
-		for _, st := range sts {
-			if st != 0 {
-				q.deferred = cuda.Error(st)
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// Flush sends any queued batched calls now. It is a no-op when
-// batching is off or the queue is empty. In-band per-entry failures
-// are not returned here; they surface at the next sync point.
-func (c *Client) Flush() error {
-	if c.batch == nil {
-		return nil
-	}
-	c.batch.mu.Lock()
-	defer c.batch.mu.Unlock()
-	return c.flushLocked()
-}
-
-// flushBatch is the ordering barrier every synchronous RPC passes
-// before touching the wire: all queued work must reach the server
-// first.
-func (c *Client) flushBatch() error {
-	return c.Flush()
-}
-
-// takeDeferred reports and clears the pending async batch error, the
-// client-side mirror of cudaDeviceSynchronize returning a failed
-// launch once.
-func (c *Client) takeDeferred() error {
-	if c.batch == nil {
-		return nil
-	}
-	c.batch.mu.Lock()
-	defer c.batch.mu.Unlock()
-	err := c.batch.deferred
-	c.batch.deferred = nil
-	return err
-}
+// This file is the client side of batched execution (see cricket.x
+// BATCH_EXEC): BatchExec ships a prepared list of asynchronous calls —
+// kernel launches, stream copies, memsets, event records, stream-sync
+// ordering markers — as one RPC record, amortizing the per-call round
+// trip the paper identifies as the dominant unikernel overhead (§5
+// "reduce per-call overhead"). A Client is a synchronous stub layer and
+// keeps no queue of its own: the one BATCH_EXEC queue, with its flush
+// thresholds and deferred-error latch, belongs to Session, which can
+// replay it after a transport failure.
 
 // BatchExec ships prepared entries as one BATCH_EXEC record and
 // returns the per-entry status vector. Accounting treats each entry
 // as one logical API call (and each launch entry as one kernel
 // launch), so a batched run reports the same Stats as its unbatched
-// twin. The method is exported for Session, which keeps its own
-// replay-safe queue and flushes it through here.
+// twin. Session flushes its queue through here.
 func (c *Client) BatchExec(entries []BatchEntry) ([]int32, error) {
 	if len(entries) == 0 {
 		return nil, nil
@@ -177,9 +33,8 @@ func (c *Client) BatchExec(entries []BatchEntry) ([]int32, error) {
 	if col != nil {
 		// Mint a per-entry call id so each logical call inside the
 		// batch joins with its server-side span. Minting here (not at
-		// enqueue) keeps the enqueue hot path free of tracing work and
-		// covers Session's replay queue, which also flushes through
-		// BatchExec. Entries that already carry an id keep it.
+		// enqueue) keeps Session's enqueue hot path free of tracing
+		// work. Entries that already carry an id keep it.
 		for i := range entries {
 			if entries[i].TraceId == 0 {
 				entries[i].TraceId = col.NextID()
@@ -252,20 +107,12 @@ func (c *Client) BatchExec(entries []BatchEntry) ([]int32, error) {
 	return res.Status, nil
 }
 
-// MemcpyHtoDAsync implements cudaMemcpyAsync(HostToDevice) on a
-// stream. With batching enabled the payload is captured into the
-// queue (the caller may reuse data immediately) and travels with the
-// next flush; without batching it degenerates to the synchronous
+// MemcpyHtoDAsync implements cudaMemcpyAsync(HostToDevice). A Client
+// has no queue to capture the payload into, so it is the synchronous
 // copy, which satisfies the async contract trivially.
 func (c *Client) MemcpyHtoDAsync(dst gpu.Ptr, data []byte, s cuda.Stream) error {
-	if c.batch == nil {
-		return c.MemcpyHtoD(dst, data)
-	}
-	return c.enqueue(BatchOpMemcpyHtod, uint64(dst), uint64(s), 0, 0, gpu.Dim3{}, gpu.Dim3{}, data)
+	return c.MemcpyHtoD(dst, data)
 }
-
-// Batching reports whether the client queues asynchronous calls.
-func (c *Client) Batching() bool { return c.batch != nil }
 
 // InvalidateTopology drops the cached device-topology answers (see
 // Options.CacheTopology). A Session never needs to call it: a

@@ -14,7 +14,7 @@ type dstBuf struct {
 	want []byte
 }
 
-// batchBoundarySizes drives both boundary tests: 600+600 overruns the
+// batchBoundarySizes drives the boundary test: 600+600 overruns the
 // 1024-byte threshold, 2000 is oversized on its own, 512+512 lands
 // exactly on the threshold, and the final 1-byte entry evicts it.
 // Buffers are allocated up front because Malloc is a synchronous call
@@ -114,65 +114,6 @@ func TestSessionBatchFlushesBeforeByteOverflow(t *testing.T) {
 	// buffer reads back exactly what was queued for it.
 	for i, buf := range bufs {
 		got, err := s.MemcpyDtoH(buf.ptr, uint64(len(buf.want)))
-		if err != nil {
-			t.Fatalf("readback %d: %v", i, err)
-		}
-		if !bytes.Equal(got, buf.want) {
-			t.Fatalf("buffer %d: device contents diverge from queued payload", i)
-		}
-	}
-}
-
-// The client-level queue shares the enqueue logic and had the same
-// append-then-check overflow; the fixed discriminator is the queue
-// state after the overflowing enqueue — (1 entry, 600 bytes) still
-// queued with the fix, (0, 0) when both entries shipped together.
-func TestClientBatchFlushesBeforeByteOverflow(t *testing.T) {
-	h := newHarness(t, guest.RustyHermit(), Options{Batch: 100, BatchBytes: 1024})
-	c := h.Client
-	queued := func() (n, b int) {
-		c.batch.mu.Lock()
-		defer c.batch.mu.Unlock()
-		return len(c.batch.entries), c.batch.bytes
-	}
-	var bufs []dstBuf
-	for i, size := range batchBoundarySizes {
-		p, err := c.Malloc(uint64(size))
-		if err != nil {
-			t.Fatalf("Malloc: %v", err)
-		}
-		bufs = append(bufs, dstBuf{ptr: p, want: bytes.Repeat([]byte{byte(i + 1)}, size)})
-	}
-	enqueue := func(i int) {
-		t.Helper()
-		if err := c.MemcpyHtoDAsync(bufs[i].ptr, bufs[i].want, 0); err != nil {
-			t.Fatalf("MemcpyHtoDAsync(%d bytes): %v", len(bufs[i].want), err)
-		}
-	}
-
-	enqueue(0)
-	if n, b := queued(); n != 1 || b != 600 {
-		t.Fatalf("after first enqueue: queue (%d, %d), want (1, 600)", n, b)
-	}
-	enqueue(1)
-	if n, b := queued(); n != 1 || b != 600 {
-		t.Fatalf("after overflow enqueue: queue (%d, %d), want (1, 600) — overrun batch shipped", n, b)
-	}
-	enqueue(2)
-	if n, b := queued(); n != 0 || b != 0 {
-		t.Fatalf("after oversized enqueue: queue (%d, %d), want (0, 0)", n, b)
-	}
-	enqueue(3)
-	enqueue(4)
-	if n, b := queued(); n != 2 || b != 1024 {
-		t.Fatalf("at exact threshold: queue (%d, %d), want (2, 1024)", n, b)
-	}
-	enqueue(5)
-	if n, b := queued(); n != 1 || b != 1 {
-		t.Fatalf("after boundary evict: queue (%d, %d), want (1, 1)", n, b)
-	}
-	for i, buf := range bufs {
-		got, err := c.MemcpyDtoH(buf.ptr, uint64(len(buf.want)))
 		if err != nil {
 			t.Fatalf("readback %d: %v", i, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"net"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // launchSetup loads the builtin vectorAdd kernel and allocates its
 // three buffers, returning the function, the argument buffer, and the
 // output pointer.
-func launchSetup(t testing.TB, c *Client, n int) (cuda.Function, []byte, gpu.Ptr) {
+func launchSetup(t testing.TB, c API, n int) (cuda.Function, []byte, gpu.Ptr) {
 	t.Helper()
 	m, err := c.ModuleLoad(builtinFatbin())
 	if err != nil {
@@ -56,40 +57,66 @@ var batchDims = struct{ grid, block gpu.Dim3 }{
 	block: gpu.Dim3{X: 128, Y: 1, Z: 1},
 }
 
-// A batched run and its unbatched twin must produce bit-identical
-// device contents and report identical client Stats.
-func TestBatchedAndUnbatchedBitIdenticalWithSameStats(t *testing.T) {
+// vectorAddRun is the workload the batching-invariance test runs on
+// each layer: ten launches, a memset and an async copy, one sync, one
+// readback.
+func vectorAddRun(t *testing.T, c API) ([]byte, Stats) {
+	t.Helper()
 	const n = 128
-	run := func(opts Options) ([]byte, Stats) {
-		h := newHarness(t, guest.RustyHermit(), opts)
-		f, args, out := launchSetup(t, h.Client, n)
-		for i := 0; i < 10; i++ {
-			if err := h.Client.LaunchKernel(f, batchDims.grid, batchDims.block, 0, 0, args); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := h.Client.Memset(out, 0, 4); err != nil {
+	f, args, out := launchSetup(t, c, n)
+	for i := 0; i < 10; i++ {
+		if err := c.LaunchKernel(f, batchDims.grid, batchDims.block, 0, 0, args); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Client.MemcpyHtoDAsync(out, []byte{1, 2, 3, 4}, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Client.DeviceSynchronize(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := h.Client.MemcpyDtoH(out, n*4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, h.Client.Stats()
 	}
-	plainOut, plainStats := run(Options{})
-	batchOut, batchStats := run(Options{Batch: 4})
+	if err := c.Memset(out, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MemcpyHtoDAsync(out, []byte{1, 2, 3, 4}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeviceSynchronize(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.MemcpyDtoH(out, n*4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, c.Stats()
+}
+
+// A batched run and its unbatched twin must produce bit-identical
+// device contents and report identical Stats, and a fault-free session
+// must report what a bare Client reports plus exactly its one
+// SRV_ATTACH handshake call.
+func TestBatchedAndUnbatchedBitIdenticalWithSameStats(t *testing.T) {
+	plainOut, plainStats := vectorAddRun(t, newBatchSession(t, newSessEnv(t, ""), 0, nil))
+	batchOut, batchStats := vectorAddRun(t, newBatchSession(t, newSessEnv(t, ""), 4, nil))
 	if !bytes.Equal(plainOut, batchOut) {
 		t.Fatal("batched run produced different device contents")
 	}
 	if plainStats != batchStats {
 		t.Fatalf("stats diverge:\n  unbatched %+v\n  batched   %+v", plainStats, batchStats)
+	}
+	clientOut, clientStats := vectorAddRun(t, newHarness(t, guest.NativeRust(), Options{}).Client)
+	if !bytes.Equal(clientOut, plainOut) {
+		t.Fatal("session run produced different device contents than a bare client")
+	}
+	clientStats.APICalls++ // SRV_ATTACH
+	if plainStats != clientStats {
+		t.Fatalf("session stats %+v, want bare client + 1 attach call %+v", plainStats, clientStats)
+	}
+}
+
+// A bare Client has no queue: asking Connect for one is an error, not
+// a silent fall-back to synchronous calls.
+func TestConnectRejectsBatch(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	defer srv.Close()
+	if c, err := Connect(cli, Options{Platform: guest.NativeRust(), Batch: 8}); err == nil {
+		c.Close()
+		t.Fatal("Connect accepted Options.Batch")
 	}
 }
 
@@ -98,12 +125,13 @@ func TestBatchedAndUnbatchedBitIdenticalWithSameStats(t *testing.T) {
 // the queue is far from its flush threshold.
 func TestBatchFlushesBeforeSynchronousCall(t *testing.T) {
 	const n = 64
-	h := newHarness(t, guest.NativeRust(), Options{Batch: 1000})
-	f, args, out := launchSetup(t, h.Client, n)
-	if err := h.Client.LaunchKernel(f, batchDims.grid, gpu.Dim3{X: n, Y: 1, Z: 1}, 0, 0, args); err != nil {
+	e := newSessEnv(t, "")
+	s := newBatchSession(t, e, 1000, nil)
+	f, args, out := launchSetup(t, s, n)
+	if err := s.LaunchKernel(f, batchDims.grid, gpu.Dim3{X: n, Y: 1, Z: 1}, 0, 0, args); err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Client.MemcpyDtoH(out, n*4)
+	got, err := s.MemcpyDtoH(out, n*4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,77 +141,33 @@ func TestBatchFlushesBeforeSynchronousCall(t *testing.T) {
 			t.Fatalf("out[%d] = %g: queued launch not flushed before readback", i, v)
 		}
 	}
-	if kl := h.Server.Stats().KernelLaunches; kl != 1 {
+	if kl := e.server().Stats().KernelLaunches; kl != 1 {
 		t.Fatalf("server saw %d launches, want 1", kl)
-	}
-}
-
-// A failing entry does not error at the call site; it surfaces once at
-// the next sync point with the same error the unbatched call returns
-// inline, then clears — CUDA's deferred async error model.
-func TestBatchDeferredErrorSurfacesOnceAtSync(t *testing.T) {
-	plain := newHarness(t, guest.NativeRust(), Options{})
-	inline := plain.Client.LaunchKernel(cuda.Function(0xdead), batchDims.grid, batchDims.block, 0, 0, nil)
-	if inline == nil {
-		t.Fatal("unbatched launch with a bogus function succeeded")
-	}
-
-	h := newHarness(t, guest.NativeRust(), Options{Batch: 8})
-	if err := h.Client.LaunchKernel(cuda.Function(0xdead), batchDims.grid, batchDims.block, 0, 0, nil); err != nil {
-		t.Fatalf("batched enqueue returned inline error: %v", err)
-	}
-	if err := h.Client.DeviceSynchronize(); err == nil {
-		t.Fatal("sync after failed batched launch returned nil")
-	} else if err.Error() != inline.Error() {
-		t.Fatalf("deferred error %q, inline twin %q", err, inline)
-	}
-	if err := h.Client.DeviceSynchronize(); err != nil {
-		t.Fatalf("second sync repeated the error: %v", err)
 	}
 }
 
 // The age timer bounds queue staleness: a queued launch ships without
 // any further client activity.
 func TestBatchAgeTimerFlushes(t *testing.T) {
-	h := newHarness(t, guest.NativeRust(), Options{Batch: 1000, BatchAge: 5 * time.Millisecond})
-	f, args, _ := launchSetup(t, h.Client, 32)
-	if err := h.Client.LaunchKernel(f, batchDims.grid, batchDims.block, 0, 0, args); err != nil {
+	e := newSessEnv(t, "")
+	s, err := NewSession(SessionOptions{
+		Options: Options{Platform: guest.NativeRust(), Batch: 1000, BatchAge: 5 * time.Millisecond},
+		Redial:  e.redial,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	f, args, _ := launchSetup(t, s, 32)
+	if err := s.LaunchKernel(f, batchDims.grid, batchDims.block, 0, 0, args); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for h.Server.Stats().KernelLaunches == 0 {
+	for e.server().Stats().KernelLaunches == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("age timer never flushed the queue")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// The steady-state enqueue path allocates nothing: entry slots and
-// payload buffers are recycled across flushes.
-func TestBatchEnqueueZeroAlloc(t *testing.T) {
-	const batch = 128
-	h := newHarness(t, guest.NativeRust(), Options{Batch: batch})
-	f, args, _ := launchSetup(t, h.Client, 32)
-	// Warm two full batches so every Data buffer in the ring has been
-	// grown to the argument size.
-	for i := 0; i < 2*batch; i++ {
-		if err := h.Client.LaunchKernel(f, batchDims.grid, batchDims.block, 0, 0, args); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := h.Client.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// 100 enqueues fit in the empty queue, so the measured loop never
-	// flushes: it is the pure hot path.
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := h.Client.LaunchKernel(f, batchDims.grid, batchDims.block, 0, 0, args); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("batched launch enqueue allocates %.1f times per call, want 0", allocs)
 	}
 }
 

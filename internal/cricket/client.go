@@ -2,6 +2,7 @@ package cricket
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -26,6 +27,15 @@ type Stats struct {
 	// ModuleBytes counts cubin/fatbin image uploads, which the paper
 	// does not include in its per-application transfer volumes.
 	ModuleBytes uint64
+}
+
+// add accumulates o into s.
+func (s *Stats) add(o Stats) {
+	s.APICalls += o.APICalls
+	s.KernelLaunches += o.KernelLaunches
+	s.BytesToDevice += o.BytesToDevice
+	s.BytesFromDevice += o.BytesFromDevice
+	s.ModuleBytes += o.ModuleBytes
 }
 
 // Options configure a Client.
@@ -72,12 +82,14 @@ type Options struct {
 	// BulkTimeout is CallTimeout for bulk calls (memcpy, module load),
 	// which legitimately take longer than control traffic.
 	BulkTimeout time.Duration
-	// Batch, when positive, enables asynchronous call batching:
-	// launches, async copies, memsets, event records, and stream-sync
-	// markers queue client-side and ship as one BATCH_EXEC record of
-	// up to Batch entries (see batch.go for the flush and error
-	// semantics). Zero — the default — keeps every call a synchronous
-	// round trip.
+	// Batch, BatchBytes and BatchAge configure asynchronous call
+	// batching and are honoured only by Session, which owns the one
+	// BATCH_EXEC queue (see session.go for the flush and error
+	// semantics); Connect rejects a positive Batch rather than silently
+	// not batching. Batch, when positive, queues launches, async
+	// copies, memsets, event records, and stream-sync markers and ships
+	// them as one BATCH_EXEC record of up to Batch entries. Zero — the
+	// default — keeps every call a synchronous round trip.
 	Batch int
 	// BatchBytes flushes the queue early once queued payload bytes
 	// exceed it; defaults to 1 MiB when batching is enabled.
@@ -109,9 +121,9 @@ var ErrTransferUnsupported = fmt.Errorf("cricket: transfer method not supported 
 
 // A Client is the application-side virtualization layer: the CUDA API
 // implemented by forwarding every call to a Cricket server over ONC
-// RPC. A Client is safe for sequential use; the accounting assumes one
-// outstanding call at a time (CUDA applications are synchronous at
-// the API boundary).
+// RPC, one synchronous round trip per call. A Client is safe for
+// sequential use; the accounting assumes one outstanding call at a
+// time (CUDA applications are synchronous at the API boundary).
 type Client struct {
 	gen      *RpcCdVersClient
 	rpc      *oncrpc.Client
@@ -132,9 +144,6 @@ type Client struct {
 	// negotiation (see transport.go).
 	tr Transport
 
-	// batch is the pending command queue, nil when batching is off.
-	batch *batchQueue
-
 	mu    sync.Mutex
 	stats Stats
 
@@ -147,6 +156,9 @@ type Client struct {
 
 // Connect builds a client over an established transport.
 func Connect(conn io.ReadWriteCloser, opts Options) (*Client, error) {
+	if opts.Batch > 0 {
+		return nil, errors.New("cricket: Options.Batch is honoured only by Session; use NewSession to batch")
+	}
 	if opts.Transfer != TransferRPCArgs && opts.Platform.AppLang != guest.LangC {
 		return nil, fmt.Errorf("%w: %s requires the C/libtirpc client, platform is %s",
 			ErrTransferUnsupported, opts.Transfer, opts.Platform.Name)
@@ -177,18 +189,6 @@ func Connect(conn io.ReadWriteCloser, opts Options) (*Client, error) {
 		c.sockets = 1
 	}
 	c.cacheTopo = opts.CacheTopology
-	if opts.Batch > 0 {
-		maxBytes := opts.BatchBytes
-		if maxBytes <= 0 {
-			maxBytes = 1 << 20
-		}
-		c.batch = &batchQueue{
-			entries:  make([]BatchEntry, 0, opts.Batch),
-			maxN:     opts.Batch,
-			maxBytes: maxBytes,
-			age:      opts.BatchAge,
-		}
-	}
 	if opts.Clock != nil {
 		c.path = guest.NewPath(opts.Clock, opts.Platform)
 		c.sim = true
@@ -266,18 +266,8 @@ func Dial(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// Close flushes any queued batched calls (best effort), then shuts
-// down the transport and any data channels.
+// Close shuts down the transport and any data channels.
 func (c *Client) Close() error {
-	if c.batch != nil {
-		c.Flush()
-		c.batch.mu.Lock()
-		if c.batch.timer != nil {
-			c.batch.timer.Stop()
-			c.batch.timer = nil
-		}
-		c.batch.mu.Unlock()
-	}
 	if c.tr != nil {
 		c.tr.Close()
 	}
@@ -364,9 +354,6 @@ func inband(code int32, err error) error {
 
 // Ping issues the null procedure.
 func (c *Client) Ping() error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	return c.account(false, 1, func(ctx context.Context) error { return c.gen.RpcNullContext(ctx) })
 }
 
@@ -383,9 +370,6 @@ func (c *Client) GetDeviceCount() (int, error) {
 			return n, nil
 		}
 		c.mu.Unlock()
-	}
-	if err := c.flushBatch(); err != nil {
-		return 0, err
 	}
 	var res IntResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) { res, e = c.gen.CudaGetDeviceCountContext(ctx); return })
@@ -412,9 +396,6 @@ func (c *Client) GetDeviceProperties(dev int) (cuda.DeviceProp, error) {
 			return p, nil
 		}
 		c.mu.Unlock()
-	}
-	if err := c.flushBatch(); err != nil {
-		return cuda.DeviceProp{}, err
 	}
 	var res PropResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
@@ -449,9 +430,6 @@ func (c *Client) GetDeviceProperties(dev int) (cuda.DeviceProp, error) {
 
 // SetDevice implements cudaSetDevice.
 func (c *Client) SetDevice(dev int) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CudaSetDeviceContext(ctx, int32(dev)); return })
 	return inband(code, err)
@@ -459,9 +437,6 @@ func (c *Client) SetDevice(dev int) error {
 
 // GetDevice implements cudaGetDevice.
 func (c *Client) GetDevice() (int, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, err
-	}
 	var res IntResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) { res, e = c.gen.CudaGetDeviceContext(ctx); return })
 	if err = inband(res.Err, err); err != nil {
@@ -472,9 +447,6 @@ func (c *Client) GetDevice() (int, error) {
 
 // Malloc implements cudaMalloc.
 func (c *Client) Malloc(size uint64) (gpu.Ptr, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, err
-	}
 	var res PtrResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) { res, e = c.gen.CudaMallocContext(ctx, size); return })
 	if err = inband(res.Err, err); err != nil {
@@ -485,9 +457,6 @@ func (c *Client) Malloc(size uint64) (gpu.Ptr, error) {
 
 // Free implements cudaFree.
 func (c *Client) Free(p gpu.Ptr) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CudaFreeContext(ctx, uint64(p)); return })
 	return inband(code, err)
@@ -506,37 +475,18 @@ func (c *Client) transferConc() int {
 // arguments, framed parallel sockets, the shared-memory ring, or the
 // RDMA-shaped path.
 func (c *Client) MemcpyHtoD(dst gpu.Ptr, data []byte) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	return c.tr.Write(dst, data)
 }
 
 // MemcpyHtoDv is the vectored MemcpyHtoD: bufs land back to back at
 // dst. Transports with gather support coalesce; others iterate.
 func (c *Client) MemcpyHtoDv(dst gpu.Ptr, bufs [][]byte) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	return c.tr.Writev(dst, bufs)
 }
 
 // MemcpyDtoH implements cudaMemcpy(DeviceToHost), returning a fresh
-// buffer of n bytes. It is a sync point: queued batched work flushes
-// first and a deferred async error surfaces here (the copy still ran,
-// but — like CUDA — its result is unspecified after a failed launch).
+// buffer of n bytes.
 func (c *Client) MemcpyDtoH(src gpu.Ptr, n uint64) ([]byte, error) {
-	if err := c.flushBatch(); err != nil {
-		return nil, err
-	}
-	b, err := c.memcpyDtoH(src, n)
-	if d := c.takeDeferred(); d != nil {
-		return nil, d
-	}
-	return b, err
-}
-
-func (c *Client) memcpyDtoH(src gpu.Ptr, n uint64) ([]byte, error) {
 	if ar, ok := c.tr.(allocReader); ok {
 		return ar.ReadAlloc(src, n)
 	}
@@ -551,27 +501,13 @@ func (c *Client) memcpyDtoH(src gpu.Ptr, n uint64) ([]byte, error) {
 // allocation-free form: with the shared-memory transport the device
 // bytes move segment-to-buffer with no heap allocation at all.
 func (c *Client) MemcpyDtoHInto(src gpu.Ptr, dst []byte) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
-	err := c.tr.Read(src, dst)
-	if d := c.takeDeferred(); d != nil {
-		return d
-	}
-	return err
+	return c.tr.Read(src, dst)
 }
 
 // MemcpyDtoHIntov is the vectored MemcpyDtoHInto: consecutive device
 // memory at src scatters into bufs.
 func (c *Client) MemcpyDtoHIntov(src gpu.Ptr, bufs [][]byte) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
-	err := c.tr.Readv(src, bufs)
-	if d := c.takeDeferred(); d != nil {
-		return d
-	}
-	return err
+	return c.tr.Readv(src, bufs)
 }
 
 // parallelTransfer performs a bulk move over the side-channel data
@@ -662,9 +598,6 @@ func (c *Client) directTransfer(n int, toDevice bool, fn func(ctx context.Contex
 
 // MemcpyDtoD implements cudaMemcpy(DeviceToDevice).
 func (c *Client) MemcpyDtoD(dst, src gpu.Ptr, n uint64) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
 		code, e = c.gen.CudaMemcpyDtodContext(ctx, uint64(dst), uint64(src), n)
@@ -673,13 +606,8 @@ func (c *Client) MemcpyDtoD(dst, src gpu.Ptr, n uint64) error {
 	return inband(code, err)
 }
 
-// Memset implements cudaMemset. With batching enabled the fill is
-// queued (cudaMemset on device memory is asynchronous with respect to
-// the host); failures surface at the next sync point.
+// Memset implements cudaMemset.
 func (c *Client) Memset(p gpu.Ptr, value byte, n uint64) error {
-	if c.batch != nil {
-		return c.enqueue(BatchOpMemset, uint64(p), 0, n, uint32(value), gpu.Dim3{}, gpu.Dim3{}, nil)
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
 		code, e = c.gen.CudaMemsetContext(ctx, uint64(p), uint32(value), n)
@@ -690,9 +618,6 @@ func (c *Client) Memset(p gpu.Ptr, value byte, n uint64) error {
 
 // MemGetInfo implements cudaMemGetInfo.
 func (c *Client) MemGetInfo() (free, total uint64, err error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, 0, err
-	}
 	var res MemInfoResult
 	err = c.account(false, 1, func(ctx context.Context) (e error) { res, e = c.gen.CudaMemGetInfoContext(ctx); return })
 	if err = inband(res.Err, err); err != nil {
@@ -701,27 +626,15 @@ func (c *Client) MemGetInfo() (free, total uint64, err error) {
 	return res.Info.FreeMem, res.Info.TotalMem, nil
 }
 
-// DeviceSynchronize implements cudaDeviceSynchronize. It is the
-// primary sync point: queued batched work flushes first, and a
-// deferred batch error is reported here once, taking precedence over
-// the server's own (matching) async status.
+// DeviceSynchronize implements cudaDeviceSynchronize.
 func (c *Client) DeviceSynchronize() error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CudaDeviceSynchronizeContext(ctx); return })
-	if d := c.takeDeferred(); d != nil {
-		return d
-	}
 	return inband(code, err)
 }
 
 // DeviceReset implements cudaDeviceReset.
 func (c *Client) DeviceReset() error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CudaDeviceResetContext(ctx); return })
 	return inband(code, err)
@@ -729,9 +642,6 @@ func (c *Client) DeviceReset() error {
 
 // StreamCreate implements cudaStreamCreate.
 func (c *Client) StreamCreate() (cuda.Stream, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, err
-	}
 	var res HandleResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) { res, e = c.gen.CudaStreamCreateContext(ctx); return })
 	if err = inband(res.Err, err); err != nil {
@@ -742,22 +652,13 @@ func (c *Client) StreamCreate() (cuda.Stream, error) {
 
 // StreamDestroy implements cudaStreamDestroy.
 func (c *Client) StreamDestroy(s cuda.Stream) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CudaStreamDestroyContext(ctx, uint64(s)); return })
 	return inband(code, err)
 }
 
-// StreamSynchronize implements cudaStreamSynchronize. With batching
-// enabled it queues as an ordering marker — in the simulated runtime
-// all stream work is complete by the time the batch executes, so the
-// marker preserves CUDA's ordering contract without a round trip.
+// StreamSynchronize implements cudaStreamSynchronize.
 func (c *Client) StreamSynchronize(s cuda.Stream) error {
-	if c.batch != nil {
-		return c.enqueue(BatchOpStreamSync, 0, uint64(s), 0, 0, gpu.Dim3{}, gpu.Dim3{}, nil)
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
 		code, e = c.gen.CudaStreamSynchronizeContext(ctx, uint64(s))
@@ -768,9 +669,6 @@ func (c *Client) StreamSynchronize(s cuda.Stream) error {
 
 // EventCreate implements cudaEventCreate.
 func (c *Client) EventCreate() (cuda.Event, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, err
-	}
 	var res HandleResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) { res, e = c.gen.CudaEventCreateContext(ctx); return })
 	if err = inband(res.Err, err); err != nil {
@@ -779,12 +677,8 @@ func (c *Client) EventCreate() (cuda.Event, error) {
 	return cuda.Event(res.Handle), nil
 }
 
-// EventRecord implements cudaEventRecord, an asynchronous call that
-// queues under batching.
+// EventRecord implements cudaEventRecord.
 func (c *Client) EventRecord(ev cuda.Event, s cuda.Stream) error {
-	if c.batch != nil {
-		return c.enqueue(BatchOpEventRecord, uint64(ev), uint64(s), 0, 0, gpu.Dim3{}, gpu.Dim3{}, nil)
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
 		code, e = c.gen.CudaEventRecordContext(ctx, uint64(ev), uint64(s))
@@ -793,21 +687,13 @@ func (c *Client) EventRecord(ev cuda.Event, s cuda.Stream) error {
 	return inband(code, err)
 }
 
-// EventElapsed implements cudaEventElapsedTime (milliseconds). It is
-// a sync point: the events must have been recorded, so the queue
-// flushes and a deferred batch error surfaces here.
+// EventElapsed implements cudaEventElapsedTime (milliseconds).
 func (c *Client) EventElapsed(start, end cuda.Event) (float32, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, err
-	}
 	var res FloatResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
 		res, e = c.gen.CudaEventElapsedContext(ctx, uint64(start), uint64(end))
 		return
 	})
-	if d := c.takeDeferred(); d != nil {
-		return 0, d
-	}
 	if err = inband(res.Err, err); err != nil {
 		return 0, err
 	}
@@ -816,9 +702,6 @@ func (c *Client) EventElapsed(start, end cuda.Event) (float32, error) {
 
 // EventDestroy implements cudaEventDestroy.
 func (c *Client) EventDestroy(ev cuda.Event) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CudaEventDestroyContext(ctx, uint64(ev)); return })
 	return inband(code, err)
@@ -826,9 +709,6 @@ func (c *Client) EventDestroy(ev cuda.Event) error {
 
 // ModuleLoad ships a cubin/fatbin image to the server (cuModuleLoad).
 func (c *Client) ModuleLoad(image []byte) (cuda.Module, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, err
-	}
 	var res HandleResult
 	err := c.account(true, c.transferConc(), func(ctx context.Context) (e error) { res, e = c.gen.CuModuleLoadContext(ctx, MemData(image)); return })
 	if err = inband(res.Err, err); err != nil {
@@ -842,9 +722,6 @@ func (c *Client) ModuleLoad(image []byte) (cuda.Module, error) {
 
 // ModuleUnload implements cuModuleUnload.
 func (c *Client) ModuleUnload(m cuda.Module) error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CuModuleUnloadContext(ctx, uint64(m)); return })
 	return inband(code, err)
@@ -852,9 +729,6 @@ func (c *Client) ModuleUnload(m cuda.Module) error {
 
 // ModuleGetFunction implements cuModuleGetFunction.
 func (c *Client) ModuleGetFunction(m cuda.Module, name string) (cuda.Function, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, err
-	}
 	var res HandleResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
 		res, e = c.gen.CuModuleGetFunctionContext(ctx, uint64(m), name)
@@ -868,9 +742,6 @@ func (c *Client) ModuleGetFunction(m cuda.Module, name string) (cuda.Function, e
 
 // ModuleGetGlobal implements cuModuleGetGlobal.
 func (c *Client) ModuleGetGlobal(m cuda.Module, name string) (gpu.Ptr, uint64, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, 0, err
-	}
 	var res GlobalResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
 		res, e = c.gen.CuModuleGetGlobalContext(ctx, uint64(m), name)
@@ -886,13 +757,6 @@ func (c *Client) ModuleGetGlobal(m cuda.Module, name string) (gpu.Ptr, uint64, e
 // language profile's launch bookkeeping (the C <<<...>>> compatibility
 // logic the Rust port omits, paper §4.2) before forwarding.
 func (c *Client) LaunchKernel(f cuda.Function, grid, block gpu.Dim3, sharedMem uint32, s cuda.Stream, args []byte) error {
-	if c.batch != nil {
-		// The launch queues without touching the wire; stats and the
-		// language profile's launch bookkeeping are charged per entry
-		// at flush (BatchExec). The args buffer is captured into a
-		// recycled entry buffer, keeping the hot path allocation-free.
-		return c.enqueue(BatchOpLaunch, uint64(f), uint64(s), 0, sharedMem, grid, block, args)
-	}
 	if c.sim && c.platform.LaunchExtraNS > 0 {
 		c.path.Clock.Advance(time.Duration(c.platform.LaunchExtraNS) * time.Nanosecond)
 	}
@@ -914,26 +778,15 @@ func (c *Client) LaunchKernel(f cuda.Function, grid, block gpu.Dim3, sharedMem u
 	return inband(code, err)
 }
 
-// Checkpoint asks the server to capture device state. It is a sync
-// point: a checkpoint must include all queued work, and a deferred
-// batch error surfaces here rather than being silently captured.
+// Checkpoint asks the server to capture device state.
 func (c *Client) Checkpoint() error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CkpCheckpointContext(ctx); return })
-	if d := c.takeDeferred(); d != nil {
-		return d
-	}
 	return inband(code, err)
 }
 
 // Restore asks the server to roll back to the latest checkpoint.
 func (c *Client) Restore() error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.CkpRestoreContext(ctx); return })
 	return inband(code, err)
@@ -947,9 +800,6 @@ func (c *Client) Restore() error {
 // its client cap sheds the attach in-band (cudaErrorServerOverloaded)
 // with an AUTH_RETRY backpressure hint.
 func (c *Client) Attach(nonce uint64) (LeaseInfo, error) {
-	if err := c.flushBatch(); err != nil {
-		return LeaseInfo{}, err
-	}
 	var r LeaseResult
 	err := c.account(false, 1, func(ctx context.Context) (e error) {
 		r, e = c.gen.SrvAttachContext(ctx, AttachArgs{Nonce: nonce})
@@ -964,9 +814,6 @@ func (c *Client) Attach(nonce uint64) (LeaseInfo, error) {
 // Renew sends the explicit lease heartbeat (SRV_RENEW), keeping the
 // lease alive across idle stretches with no other traffic.
 func (c *Client) Renew() error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.SrvRenewContext(ctx); return })
 	return inband(code, err)
@@ -976,9 +823,6 @@ func (c *Client) Renew() error {
 // holds, immediately (SRV_DETACH) — eager reclamation instead of
 // waiting out the TTL.
 func (c *Client) Detach() error {
-	if err := c.flushBatch(); err != nil {
-		return err
-	}
 	var code int32
 	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.SrvDetachContext(ctx); return })
 	return inband(code, err)
@@ -990,9 +834,6 @@ func (c *Client) Detach() error {
 // shed by admission control, so probing works even against a
 // saturated member, and a changed value reveals a restart.
 func (c *Client) Epoch() (uint64, error) {
-	if err := c.flushBatch(); err != nil {
-		return 0, err
-	}
 	var epoch uint64
 	err := c.account(false, 1, func(ctx context.Context) (e error) { epoch, e = c.gen.SrvGetEpochContext(ctx); return })
 	return epoch, err

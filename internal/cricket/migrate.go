@@ -317,6 +317,9 @@ func (s *Session) migrate(endpoint string, dial func() (io.ReadWriteCloser, erro
 
 	// The swap: from here on the session lives on the target.
 	old := s.c
+	if old != nil {
+		s.retired.add(old.Stats())
+	}
 	s.c = st.tc
 	s.epoch = st.epoch
 	s.endpoint = endpoint
@@ -353,8 +356,6 @@ func (s *Session) migrate(endpoint string, dial func() (io.ReadWriteCloser, erro
 	// here (the fleet pins before migrating) for the dial to land
 	// right. A failed renegotiation heals lazily on the next call.
 	if s.opts.DataDial != nil || s.opts.ShmOpen != nil || s.opts.RdmaOpen != nil {
-		s.c.Close()
-		s.c = nil
 		_ = s.recover()
 	}
 	rep.Pause = time.Since(t0)
@@ -419,10 +420,8 @@ func (s *Session) stage(snap *migSnap, dial func() (io.ReadWriteCloser, error)) 
 	}
 	copts := snap.opts
 	// See the carrier note at the top of the file: the hooks would
-	// open data channels against the source. Batching is off too — the
-	// staging client is driven synchronously.
+	// open data channels against the source.
 	copts.DataDial, copts.ShmOpen, copts.RdmaOpen = nil, nil, nil
-	copts.Batch = 0
 	tc, err := Connect(conn, copts)
 	if err != nil {
 		conn.Close()

@@ -354,38 +354,46 @@ func TestParallelXferSmallTransfers(t *testing.T) {
 // joined by the propagated call id.
 func TestObservabilityJoinsClientAndServer(t *testing.T) {
 	col := NewCollector(0)
-	h := newHarness(t, guest.NativeRust(), Options{Obs: col, Batch: 4})
-	h.Server.SetObserver(col)
-
-	if err := h.Client.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Client.GetDeviceCount(); err != nil {
-		t.Fatal(err)
-	}
-	ptr, err := h.Client.Malloc(1 << 12)
+	e := newSessEnv(t, "")
+	e.server().SetObserver(col)
+	s, err := NewSession(SessionOptions{
+		Options: Options{Platform: guest.NativeRust(), Obs: col, Batch: 4},
+		Redial:  e.redial,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Client.Free(ptr); err != nil {
+	defer s.Close()
+
+	if err := s.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetDeviceCount(); err != nil {
+		t.Fatal(err)
+	}
+	ptr, err := s.Malloc(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Free(ptr); err != nil {
 		t.Fatal(err)
 	}
 
 	// Three batched entries, then a sync to flush them.
-	dst, err := h.Client.Malloc(64)
+	dst, err := s.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Client.Memset(dst, 7, 64); err != nil {
+	if err := s.Memset(dst, 7, 64); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Client.MemcpyHtoDAsync(dst, make([]byte, 64), 0); err != nil {
+	if err := s.MemcpyHtoDAsync(dst, make([]byte, 64), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Client.StreamSynchronize(0); err != nil {
+	if err := s.StreamSynchronize(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Client.DeviceSynchronize(); err != nil {
+	if err := s.DeviceSynchronize(); err != nil {
 		t.Fatal(err)
 	}
 

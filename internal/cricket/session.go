@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -241,6 +242,7 @@ type Session struct {
 
 	mu       sync.Mutex
 	c        *Client
+	retired  Stats         // counters of every client retired by reconnect or migration
 	epoch    uint64        // server epoch at last connect; 0 = unknown
 	endpoint string        // endpoint of the last successful connect (Dialer only)
 	hint     time.Duration // pending server backpressure hint for the next backoff
@@ -265,13 +267,13 @@ type Session struct {
 	streams  map[uint64]sessStream
 	events   map[uint64]sessEvent
 
-	// Batched execution (Options.Batch). The session owns the queue —
-	// a Client dies with its transport, and a queue that died with it
-	// could not be replayed — so sub-clients always run unbatched.
-	// Entries are recorded in VIRTUAL handle terms and translated to
-	// server handles at flush time, inside the do() retry loop: a
-	// flush that rides through a server restart re-translates against
-	// the replayed mappings, making the whole batch idempotent.
+	// Batched execution (Options.Batch), the only BATCH_EXEC queue in
+	// the stack: a Client dies with its transport, and a queue that
+	// died with it could not be replayed. Entries are recorded in
+	// VIRTUAL handle terms and translated to server handles at flush
+	// time, inside the do() retry loop: a flush that rides through a
+	// server restart re-translates against the replayed mappings,
+	// making the whole batch idempotent.
 	batchq        []sessBatchOp
 	batchBytes    int
 	batchMaxN     int // 0 = batching off
@@ -341,8 +343,8 @@ func NewSession(opts SessionOptions) (*Session, error) {
 			s.batchMaxBytes = 1 << 20
 		}
 		s.batchAge = o.BatchAge
-		// The session owns the queue; its clients stay unbatched so a
-		// transport death cannot take queued entries with it.
+		// The session consumed the field; its clients are plain stubs
+		// and Connect rejects a positive Batch.
 		o.Options.Batch = 0
 		if o.Coalescer != nil {
 			// Adaptive coalescing: the tuner owns the thresholds from
@@ -528,17 +530,31 @@ func (s *Session) Transfer() TransferMethod {
 	return c.Transfer()
 }
 
-// Stats returns the underlying client's transfer counters. Counters
-// reset on reconnect (they belong to one connection); SessionStats
-// records recovery activity across the whole session.
+// Stats returns the call and transfer counters accumulated over the
+// whole session: the current client's plus those of every client a
+// reconnect or migration retired, so they never decrease. Replay and
+// staging traffic counts like any other call; SessionStats records the
+// recovery activity itself.
 func (s *Session) Stats() Stats {
 	s.mu.Lock()
-	c := s.c
-	s.mu.Unlock()
-	if c == nil {
-		return Stats{}
+	defer s.mu.Unlock()
+	st := s.retired
+	if s.c != nil {
+		st.add(s.c.Stats())
 	}
-	return c.Stats()
+	return st
+}
+
+// retireClientLocked closes the current client, if any, keeping its
+// counters. Called with s.mu held.
+func (s *Session) retireClientLocked() error {
+	if s.c == nil {
+		return nil
+	}
+	s.retired.add(s.c.Stats())
+	err := s.c.Close() // tears down the transport and its readLoop
+	s.c = nil
+	return err
 }
 
 // SessionStats returns the recovery counters.
@@ -548,8 +564,10 @@ func (s *Session) SessionStats() SessionStats {
 	return s.sstats
 }
 
-// Close flushes any queued batched calls (best effort), releases the
-// session's lease, and shuts the session down. The lease release
+// Close flushes any queued batched calls, releases the session's
+// lease, and shuts the session down. It returns the first of: the
+// final flush's error, a deferred batch error no sync point collected,
+// and the transport's close error. The lease release
 // (SRV_DETACH) is best-effort but insistent: if the transport is
 // already down — or dies under the detach itself — Close makes one
 // fresh dial purely to send the detach, so a clean shutdown reclaims
@@ -563,17 +581,20 @@ func (s *Session) Close() error {
 	if s.closed {
 		return nil
 	}
-	s.flushBatchLocked()
+	err := s.flushBatchLocked()
+	if d := s.takeDeferredLocked(); err == nil {
+		err = d
+	}
 	if s.batchTimer != nil {
 		s.batchTimer.Stop()
 		s.batchTimer = nil
 	}
 	s.closed = true
-	var err error
 	if s.c != nil {
 		derr := s.c.Detach()
-		err = s.c.Close()
-		s.c = nil
+		if cerr := s.retireClientLocked(); err == nil {
+			err = cerr
+		}
 		if !oncrpc.IsTransportError(derr) {
 			// Detach reached the server (or was answered in-band by a
 			// pre-lease server): the lease is gone, nothing to retry.
@@ -617,10 +638,7 @@ func (s *Session) backoff(i int) time.Duration {
 // MaxAttempts times with exponential backoff before giving up.
 func (s *Session) recover() error {
 	start := time.Now()
-	if s.c != nil {
-		s.c.Close() // tear down the dead transport and its readLoop
-		s.c = nil
-	}
+	s.retireClientLocked()
 	var lastErr error
 	for i := 0; i < s.opts.MaxAttempts; i++ {
 		if i > 0 || lastErr != nil {
@@ -917,6 +935,20 @@ func (s *Session) doRetry(op func(c *Client) error, w *tune.Window, rif int) err
 }
 
 // ---- batched execution ----
+//
+// Kernel launches, async copies, memsets, event records and stream-sync
+// ordering markers queue here and ship as one BATCH_EXEC record:
+//
+//   - Entries execute on the server strictly in submission order, so
+//     batching never reorders work relative to the unbatched stream.
+//   - The queue flushes when it reaches Options.Batch entries, before
+//     an entry that would take queued payload past Options.BatchBytes,
+//     before ANY synchronous call (which must observe all queued
+//     work), on the Options.BatchAge timer, on Flush, and on Close.
+//   - Per-entry failures are not returned at the call site: the first
+//     failed status is remembered and surfaced once at the next sync
+//     point (DeviceSynchronize, DeviceReset, MemcpyDtoH, EventElapsed,
+//     Checkpoint, Close), like CUDA's deferred async error model.
 
 // batching reports whether the session queues asynchronous calls.
 func (s *Session) batching() bool { return s.batchMaxN > 0 }
@@ -1477,6 +1509,47 @@ func (s *Session) DeviceSynchronize() error {
 	return err
 }
 
+// DeviceReset implements cudaDeviceReset for the current device. It is
+// a sync point like DeviceSynchronize. The server resets whenever the
+// call is admitted — it reports a pending async error one last time
+// but still wipes the device — so everything the session tracks for
+// the device is dropped with it and a later replay recreates none of
+// it.
+func (s *Session) DeviceReset() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.flushBatchLocked(); err != nil {
+		return err
+	}
+	err := s.do(func(c *Client) error { return c.DeviceReset() })
+	var code cuda.Error
+	if err == nil || (errors.As(err, &code) && code != cuda.ErrorServerOverloaded) {
+		s.dropDeviceLocked(s.dev)
+	}
+	if d := s.takeDeferredLocked(); d != nil {
+		return d
+	}
+	return err
+}
+
+// dropDeviceLocked forgets every resource created under dev. Called
+// with s.mu held.
+func (s *Session) dropDeviceLocked(dev int) {
+	maps.DeleteFunc(s.allocs, func(_ gpu.Ptr, a *sessAlloc) bool { return a.dev == dev })
+	maps.DeleteFunc(s.modules, func(_ uint64, m *sessModule) bool { return m.dev == dev })
+	s.dropOrphansLocked()
+	maps.DeleteFunc(s.streams, func(_ uint64, st sessStream) bool { return st.dev == dev })
+	maps.DeleteFunc(s.events, func(_ uint64, ev sessEvent) bool { return ev.dev == dev })
+}
+
+// dropOrphansLocked forgets the functions and globals of modules the
+// session no longer tracks. Called with s.mu held.
+func (s *Session) dropOrphansLocked() {
+	gone := func(mod uint64) bool { _, ok := s.modules[mod]; return !ok }
+	maps.DeleteFunc(s.funcs, func(_ uint64, f *sessFunc) bool { return gone(f.mod) })
+	maps.DeleteFunc(s.globals, func(_ gpu.Ptr, g *sessGlobal) bool { return gone(g.mod) })
+}
+
 // StreamCreate implements cudaStreamCreate with a stable virtual
 // handle.
 func (s *Session) StreamCreate() (cuda.Stream, error) {
@@ -1495,6 +1568,11 @@ func (s *Session) StreamCreate() (cuda.Stream, error) {
 	return cuda.Stream(v), nil
 }
 
+// noHandle is what an untracked virtual stream or event translates to:
+// a value the server never issues and answers with ErrorInvalidHandle.
+// The virtual number itself could name another tenant's object.
+const noHandle = ^uint64(0)
+
 // stream maps a virtual stream handle (0 = default stream passes
 // through).
 func (s *Session) stream(v cuda.Stream) cuda.Stream {
@@ -1504,7 +1582,7 @@ func (s *Session) stream(v cuda.Stream) cuda.Stream {
 	if st, ok := s.streams[uint64(v)]; ok {
 		return st.srv
 	}
-	return v
+	return cuda.Stream(noHandle)
 }
 
 // StreamDestroy implements cudaStreamDestroy. Queued work may target
@@ -1523,7 +1601,9 @@ func (s *Session) StreamDestroy(v cuda.Stream) error {
 }
 
 // StreamSynchronize implements cudaStreamSynchronize; under batching
-// it queues as an ordering marker (see Client.StreamSynchronize).
+// it queues as an ordering marker — in the simulated runtime all
+// stream work is complete by the time the batch executes, so the
+// marker preserves CUDA's ordering contract without a round trip.
 func (s *Session) StreamSynchronize(v cuda.Stream) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1554,7 +1634,7 @@ func (s *Session) event(v cuda.Event) cuda.Event {
 	if ev, ok := s.events[uint64(v)]; ok {
 		return ev.srv
 	}
-	return v
+	return cuda.Event(noHandle)
 }
 
 // EventRecord implements cudaEventRecord; under batching it queues
@@ -1639,16 +1719,7 @@ func (s *Session) ModuleUnload(v cuda.Module) error {
 	err := s.do(func(c *Client) error { return c.ModuleUnload(m.srv) })
 	if err == nil {
 		delete(s.modules, uint64(v))
-		for fv, f := range s.funcs {
-			if f.mod == uint64(v) {
-				delete(s.funcs, fv)
-			}
-		}
-		for gv, g := range s.globals {
-			if g.mod == uint64(v) {
-				delete(s.globals, gv)
-			}
-		}
+		s.dropOrphansLocked()
 	}
 	return err
 }

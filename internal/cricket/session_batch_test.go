@@ -228,27 +228,38 @@ func runCheckpointedBatch(t *testing.T, s *Session, f cuda.Function, n, launches
 	return got
 }
 
-// Session sync points surface a deferred batch failure once, like the
-// client-level queue.
+// A failing entry does not error at the call site; it surfaces once at
+// the next sync point with the same error the unbatched call returns
+// inline, then clears — CUDA's deferred async error model.
 func TestSessionBatchDeferredErrorSurfacesAtSync(t *testing.T) {
-	e := newSessEnv(t, "")
-	s := newBatchSession(t, e, 8, nil)
-	m, err := s.ModuleLoad(builtinFatbin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := s.ModuleGetFunction(m, cuda.KernelVectorAdd)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A launch with a block volume over the device limit fails
-	// server-side; the enqueue itself must not report it.
+	// server-side.
 	bad := gpu.Dim3{X: 2048, Y: 1024, Z: 64}
-	if err := s.LaunchKernel(f, gpu.Dim3{X: 1, Y: 1, Z: 1}, bad, 0, 0, nil); err != nil {
+	launchBad := func(s *Session) error {
+		t.Helper()
+		m, err := s.ModuleLoad(builtinFatbin())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.ModuleGetFunction(m, cuda.KernelVectorAdd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.LaunchKernel(f, gpu.Dim3{X: 1, Y: 1, Z: 1}, bad, 0, 0, nil)
+	}
+	inline := launchBad(newBatchSession(t, newSessEnv(t, ""), 0, nil))
+	if inline == nil {
+		t.Fatal("unbatched launch with an oversized block succeeded")
+	}
+
+	s := newBatchSession(t, newSessEnv(t, ""), 8, nil)
+	if err := launchBad(s); err != nil {
 		t.Fatalf("enqueue returned inline error: %v", err)
 	}
 	if err := s.DeviceSynchronize(); err == nil {
 		t.Fatal("sync after failed batched launch returned nil")
+	} else if err.Error() != inline.Error() {
+		t.Fatalf("deferred error %q, inline twin %q", err, inline)
 	}
 	if err := s.DeviceSynchronize(); err != nil {
 		t.Fatalf("second sync repeated the error: %v", err)

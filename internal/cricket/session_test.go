@@ -14,6 +14,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cricket/internal/cubin"
 	"cricket/internal/cuda"
 	"cricket/internal/gpu"
 	"cricket/internal/guest"
@@ -697,5 +698,217 @@ func TestSessionCloseFallsBackToLeaseTTL(t *testing.T) {
 	}
 	if got := e.server().LeaseCount(); got != 0 {
 		t.Fatalf("leases after sweep = %d, want 0", got)
+	}
+}
+
+// DeviceReset wipes the server's device, so the session must forget
+// everything it tracked there: after a server kill, the replay carries
+// exactly the traffic of a session that never created anything. The
+// server resets even when it reports a pending async error, so the
+// same holds when a queued launch failed — and that failure surfaces
+// at the reset, once.
+func TestSessionDeviceResetDropsTrackedResources(t *testing.T) {
+	replayCalls := func(populate, failLaunch bool) uint64 {
+		t.Helper()
+		e := newSessEnv(t, "")
+		s := newBatchSession(t, e, 8, nil)
+		if populate {
+			f, args, _ := launchSetup(t, s, 32)
+			img := cuda.BuiltinImage(80)
+			img.Globals = []cubin.GlobalVar{{Name: "d_LUT", Size: 512}}
+			m, err := s.ModuleLoad(img.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.ModuleGetGlobal(m, "d_LUT"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.StreamCreate(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.EventCreate(); err != nil {
+				t.Fatal(err)
+			}
+			block := batchDims.block
+			if failLaunch {
+				block = gpu.Dim3{X: 2048, Y: 1024, Z: 64} // over the device limit
+			}
+			if err := s.LaunchKernel(f, batchDims.grid, block, 0, 0, args); err != nil {
+				t.Fatalf("enqueue: %v", err)
+			}
+			err = s.DeviceReset()
+			if failLaunch == (err == nil) {
+				t.Fatalf("DeviceReset = %v with failLaunch=%v", err, failLaunch)
+			}
+			if err := s.DeviceReset(); err != nil {
+				t.Fatalf("second DeviceReset repeated the error: %v", err)
+			}
+		}
+		e.restart()
+		if err := s.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.SessionStats(); st.Replays != 1 {
+			t.Fatalf("Replays = %d, want 1", st.Replays)
+		}
+		return e.server().Stats().Calls
+	}
+	want := replayCalls(false, false)
+	if got := replayCalls(true, false); got != want {
+		t.Fatalf("replay after DeviceReset made %d server calls, an empty session makes %d", got, want)
+	}
+	if got := replayCalls(true, true); got != want {
+		t.Fatalf("replay after a failed launch and DeviceReset made %d server calls, want %d", got, want)
+	}
+}
+
+// DeviceReset destroys the device's streams and events on the server,
+// so both cricket.API implementations answer a pre-reset handle with
+// ErrorInvalidHandle and the handles stop counting against the cap. A
+// session must not forward its stale virtual number instead: here that
+// number names a live stream of another tenant on the second device.
+func TestDeviceResetInvalidatesStreamsOnBothAPIs(t *testing.T) {
+	for _, name := range []string{"client", "session"} {
+		t.Run(name, func(t *testing.T) {
+			e := newSessEnvMulti(t, "", 2)
+			e.rt.SetHandleLimit(3)
+			e.rt.SetDevice(1)
+			other, _, err := e.rt.StreamCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.rt.SetDevice(0)
+			var api API = newTestSession(t, e)
+			if name == "client" {
+				conn, err := e.redial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := Connect(conn, Options{Platform: guest.NativeRust()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				api = c
+			}
+			st, err := api.StreamCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "session" && st != other {
+				t.Fatalf("virtual stream %d does not collide with server stream %d; the test pins nothing", st, other)
+			}
+			ev, err := api.EventCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := api.DeviceReset(); err != nil {
+				t.Fatal(err)
+			}
+			for call, err := range map[string]error{
+				"StreamSynchronize": api.StreamSynchronize(st),
+				"EventRecord":       api.EventRecord(ev, 0),
+				"EventDestroy":      api.EventDestroy(ev),
+				"StreamDestroy":     api.StreamDestroy(st),
+			} {
+				if !errors.Is(err, cuda.ErrorInvalidHandle) {
+					t.Errorf("%s on a pre-reset handle = %v, want ErrorInvalidHandle", call, err)
+				}
+			}
+			if _, err := e.rt.StreamSynchronize(other); err != nil {
+				t.Fatalf("the other device's stream after reset: %v", err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := api.StreamCreate(); err != nil {
+					t.Fatalf("reset left its handles counted against the cap: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// A launch that failed in the very last batch has no later sync point
+// to surface at; Close must report it instead of dropping it.
+func TestSessionCloseReportsLastBatchFailure(t *testing.T) {
+	e := newSessEnv(t, "")
+	s := newBatchSession(t, e, 8, nil)
+	f, args, _ := launchSetup(t, s, 32)
+	if err := s.LaunchKernel(f, batchDims.grid, gpu.Dim3{X: 2048, Y: 1024, Z: 64}, 0, 0, args); err != nil {
+		t.Fatalf("enqueue returned inline error: %v", err)
+	}
+	var code cuda.Error
+	if err := s.Close(); !errors.As(err, &code) {
+		t.Fatalf("Close = %v, want the queued launch's CUDA error", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+}
+
+// Stats are cumulative over the session, not per connection: neither a
+// dropped connection nor a server restart may make a counter go down.
+func TestSessionStatsSurviveReconnect(t *testing.T) {
+	e := newSessEnv(t, "")
+	s := newTestSession(t, e)
+	f, args, _ := launchSetup(t, s, 32)
+	launch := func() Stats {
+		t.Helper()
+		if err := s.LaunchKernel(f, batchDims.grid, batchDims.block, 0, 0, args); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats()
+	}
+	prev := launch()
+	if prev.KernelLaunches != 1 || prev.BytesToDevice != 2*32*4 {
+		t.Fatalf("baseline stats %+v", prev)
+	}
+	for _, disturb := range []func(){func() { e.kill(false) }, e.restart} {
+		disturb()
+		st := launch()
+		if st.KernelLaunches <= prev.KernelLaunches || st.BytesToDevice < prev.BytesToDevice ||
+			st.APICalls <= prev.APICalls || st.ModuleBytes < prev.ModuleBytes {
+			t.Fatalf("stats went backwards across a reconnect:\n  before %+v\n  after  %+v", prev, st)
+		}
+		prev = st
+	}
+	if st := s.SessionStats(); st.Reconnects != 2 || st.Replays != 1 {
+		t.Fatalf("session stats %+v, want 2 reconnects with 1 replay", st)
+	}
+}
+
+// With every admitted call stalled server-side, a control call trips
+// CallTimeout while a bulk copy, bounded by the longer BulkTimeout,
+// completes. The expiry is not a transport error: the session returns
+// it to the caller and does not reconnect.
+func TestSessionCallAndBulkTimeouts(t *testing.T) {
+	e := newSessEnv(t, "")
+	s, err := NewSession(SessionOptions{
+		Options: Options{Platform: guest.NativeRust(), CallTimeout: 30 * time.Millisecond, BulkTimeout: 10 * time.Second},
+		Redial:  e.redial,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p, err := s.Malloc(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.server().SetExecModel(func() { time.Sleep(150 * time.Millisecond) })
+	defer e.server().SetExecModel(nil)
+
+	if _, err := s.GetDeviceCount(); !errors.Is(err, oncrpc.ErrTimeout) {
+		t.Fatalf("stalled control call = %v, want oncrpc.ErrTimeout", err)
+	}
+	data := bytes.Repeat([]byte{0xa5}, 4096)
+	if err := s.MemcpyHtoD(p, data); err != nil {
+		t.Fatalf("bulk copy under BulkTimeout: %v", err)
+	}
+	got, err := s.MemcpyDtoH(p, 4096)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("bulk readback: err=%v, equal=%v", err, bytes.Equal(got, data))
+	}
+	if st := s.SessionStats(); st.Reconnects != 0 || st.DialAttempts != 1 {
+		t.Fatalf("deadline expiry treated as a transport error: %+v", st)
 	}
 }

@@ -576,6 +576,42 @@ func TestDeviceResetClearsModules(t *testing.T) {
 	}
 }
 
+// cudaDeviceReset destroys the device's streams and events with the
+// rest of its state: their handles go invalid and stop counting
+// against the handle cap, while the default stream and the other
+// device's handles survive.
+func TestDeviceResetDestroysStreamsAndEvents(t *testing.T) {
+	r := NewRuntime(nil, gpu.New(gpu.SpecA100), gpu.New(gpu.SpecT4))
+	r.SetHandleLimit(4)
+	r.SetDevice(1)
+	keep, _, _ := r.StreamCreate()
+	keepEv, _, _ := r.EventCreate()
+	r.SetDevice(0)
+	st, _, _ := r.StreamCreate()
+	ev, _, _ := r.EventCreate()
+	if _, _, err := r.StreamCreate(); !errors.Is(err, ErrorMemoryAllocation) {
+		t.Fatalf("fifth handle under a cap of 4: %v", err)
+	}
+	r.DeviceReset()
+	if _, err := r.StreamSynchronize(st); !errors.Is(err, ErrorInvalidHandle) {
+		t.Fatalf("stream survived reset: %v", err)
+	}
+	if _, err := r.EventRecord(ev, 0); !errors.Is(err, ErrorInvalidHandle) {
+		t.Fatalf("event survived reset: %v", err)
+	}
+	if _, err := r.EventRecord(keepEv, keep); err != nil {
+		t.Fatalf("other device's handles after reset: %v", err)
+	}
+	if _, err := r.StreamSynchronize(0); err != nil {
+		t.Fatalf("default stream after reset: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := r.StreamCreate(); err != nil {
+			t.Fatalf("reset did not release handle %d: %v", i, err)
+		}
+	}
+}
+
 func TestArgBufferLayout(t *testing.T) {
 	// ptr, i32, i32, ptr: the second pointer must land on an 8-byte
 	// boundary (offset 16).

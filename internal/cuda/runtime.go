@@ -2,6 +2,7 @@ package cuda
 
 import (
 	"errors"
+	"maps"
 	"sync"
 	"time"
 
@@ -85,11 +86,15 @@ type funcState struct {
 }
 
 type streamState struct {
+	// dev is the device that was current at creation; DeviceReset on
+	// it destroys the stream. The default stream belongs to no device.
+	dev int
 	// busyUntil is the stream's position on the simulated timeline.
 	busyUntil time.Duration
 }
 
 type eventState struct {
+	dev      int // as streamState.dev
 	recorded bool
 	at       time.Duration
 }
@@ -109,7 +114,7 @@ func NewRuntime(clock *netsim.Clock, devices ...*gpu.Device) *Runtime {
 		streams:   make(map[Stream]*streamState),
 		events:    make(map[Event]*eventState),
 	}
-	r.streams[0] = &streamState{} // default stream
+	r.streams[0] = &streamState{dev: -1} // default stream
 	return r
 }
 
@@ -324,7 +329,8 @@ func (r *Runtime) DeviceSynchronize() (time.Duration, error) {
 	return d, nil
 }
 
-// DeviceReset releases all device state (cudaDeviceReset). A pending
+// DeviceReset releases all device state (cudaDeviceReset): memory,
+// modules, and the streams and events created on the device. A pending
 // asynchronous launch error is reported one final time and cleared
 // along with the rest of the device state.
 func (r *Runtime) DeviceReset() (time.Duration, error) {
@@ -336,6 +342,8 @@ func (r *Runtime) DeviceReset() (time.Duration, error) {
 			delete(r.modules, id)
 		}
 	}
+	maps.DeleteFunc(r.streams, func(_ Stream, st *streamState) bool { return st.dev == r.current })
+	maps.DeleteFunc(r.events, func(_ Event, ev *eventState) bool { return ev.dev == r.current })
 	err := r.asyncPending()
 	r.asyncErr = Success
 	return r.charge(50 * time.Microsecond), err
@@ -369,7 +377,7 @@ func (r *Runtime) StreamCreate() (Stream, time.Duration, error) {
 	}
 	r.nextID++
 	s := Stream(r.nextID)
-	r.streams[s] = &streamState{}
+	r.streams[s] = &streamState{dev: r.current}
 	return s, r.charge(900 * time.Nanosecond), nil
 }
 
@@ -415,7 +423,7 @@ func (r *Runtime) EventCreate() (Event, time.Duration, error) {
 	}
 	r.nextID++
 	e := Event(r.nextID)
-	r.events[e] = &eventState{}
+	r.events[e] = &eventState{dev: r.current}
 	return e, r.charge(700 * time.Nanosecond), nil
 }
 
