@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci gen-check bench generate
+.PHONY: build test race vet ci gen-check bench generate loc
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,13 @@ ci: build vet race gen-check
 # emits for its .x file.
 gen-check: generate
 	git diff --exit-code -- '*/gen_*.go'
+
+# loc prints the line count ROADMAP item 2 gates on: hand-written,
+# non-test Go per internal package (gen_*.go and *_test.go excluded).
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' ! -name 'gen_*' -exec cat {} + | wc -l)" "$$d"; \
+	done
 
 bench:
 	$(GO) run ./cmd/benchharness -all -ci

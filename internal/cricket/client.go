@@ -239,10 +239,8 @@ func Connect(conn io.ReadWriteCloser, opts Options) (*Client, error) {
 		if err = rt.Reopen(); err == nil {
 			c.tr = rt
 		}
-	case c.transfer == TransferSharedMem || c.transfer == TransferRDMA:
-		c.tr = &modelTransport{c: c}
 	default:
-		c.tr = &inlineTransport{c: c}
+		c.tr = &inlineTransport{c: c, direct: c.transfer == TransferSharedMem || c.transfer == TransferRDMA}
 	}
 	if err != nil {
 		rpc.Close()
@@ -478,12 +476,6 @@ func (c *Client) MemcpyHtoD(dst gpu.Ptr, data []byte) error {
 	return c.tr.Write(dst, data)
 }
 
-// MemcpyHtoDv is the vectored MemcpyHtoD: bufs land back to back at
-// dst. Transports with gather support coalesce; others iterate.
-func (c *Client) MemcpyHtoDv(dst gpu.Ptr, bufs [][]byte) error {
-	return c.tr.Writev(dst, bufs)
-}
-
 // MemcpyDtoH implements cudaMemcpy(DeviceToHost), returning a fresh
 // buffer of n bytes.
 func (c *Client) MemcpyDtoH(src gpu.Ptr, n uint64) ([]byte, error) {
@@ -502,12 +494,6 @@ func (c *Client) MemcpyDtoH(src gpu.Ptr, n uint64) ([]byte, error) {
 // bytes move segment-to-buffer with no heap allocation at all.
 func (c *Client) MemcpyDtoHInto(src gpu.Ptr, dst []byte) error {
 	return c.tr.Read(src, dst)
-}
-
-// MemcpyDtoHIntov is the vectored MemcpyDtoHInto: consecutive device
-// memory at src scatters into bufs.
-func (c *Client) MemcpyDtoHIntov(src gpu.Ptr, bufs [][]byte) error {
-	return c.tr.Readv(src, bufs)
 }
 
 // parallelTransfer performs a bulk move over the side-channel data
@@ -577,23 +563,6 @@ func (c *Client) chargeDirectMove(n int) {
 	if move > pcie {
 		c.path.Clock.Advance(move - pcie)
 	}
-}
-
-// directTransfer performs a bulk move whose simulated cost bypasses
-// the TCP path: shared memory costs one memcpy, RDMA costs wire
-// serialization with no per-byte CPU work (GPUDirect: NIC writes
-// device memory directly). It carries the modelTransport, where the
-// negotiated direct method has no real carrier wired.
-func (c *Client) directTransfer(n int, toDevice bool, fn func(ctx context.Context) (int32, error)) error {
-	c.countCall()
-	ctx, cancel := c.ctxFor(true)
-	defer cancel()
-	code, err := fn(ctx)
-	if inband(code, err) == nil {
-		c.addBytes(toDevice, uint64(n))
-	}
-	c.chargeDirectMove(n)
-	return inband(code, err)
 }
 
 // MemcpyDtoD implements cudaMemcpy(DeviceToDevice).

@@ -2,6 +2,7 @@ package cricket
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -9,14 +10,24 @@ import (
 	"cricket/internal/gpu"
 	"cricket/internal/obs"
 	"cricket/internal/oncrpc"
+	"cricket/internal/xdr"
 )
 
-// This file is the server's resource-governance layer: client leases
-// with orphan reclamation, admission control, and load shedding.
+// This file is the server's resource-governance layer: the admission
+// gate every call passes, client leases with orphan reclamation, and
+// load shedding.
 //
-// Every connection serves the Cricket program through its own
-// serverConn (minted by Attach's per-connection registration). A
-// client attaches with a session nonce (SRV_ATTACH) and receives a
+// Every connection is served by its own serverConn, the dispatcher
+// Attach registers per connection, and whether a call is admitted is
+// decided once, in its Dispatch, for every procedure alike: begin
+// enforces MaxInflight and the parked state and touches the lease; a
+// refused call is answered by shedReply — in-band
+// cuda.ErrorServerOverloaded plus an AUTH_RETRY reply-verifier hint, so
+// a backoff-respecting client degrades to queueing instead of failing —
+// with no argument decoded and no handler run. SRV_GET_EPOCH,
+// SRV_ATTACH and SRV_DETACH bypass the gate (see governed).
+//
+// A client attaches with a session nonce (SRV_ATTACH) and receives a
 // lease; every handle it creates — allocations, modules (and, through
 // them, functions and globals), streams, events — is tagged with that
 // lease. The lease expires after Limits.LeaseTTL without traffic or an
@@ -27,13 +38,10 @@ import (
 // existing lease (handles stay live); after expiry the client gets a
 // fresh lease and replays.
 //
-// Admission control bounds concurrent clients (MaxClients, applied at
-// attach), per-client device memory (MaxClientMem, applied at malloc
-// and reflected by the quota-clamped CudaMemGetInfo view), and
-// concurrent in-flight calls (MaxInflight, applied per call). Shed
-// calls fail in-band with cuda.ErrorServerOverloaded and carry an
-// AUTH_RETRY reply-verifier hint, so a backoff-respecting client
-// degrades to queueing instead of failing.
+// Besides MaxInflight, admission control bounds concurrent clients
+// (MaxClients, applied at attach) and per-client device memory
+// (MaxClientMem, applied at malloc and reflected by the quota-clamped
+// CudaMemGetInfo view).
 
 // Limits configures server-side resource governance. The zero value
 // disables everything: no lease expiry, no admission control.
@@ -104,19 +112,79 @@ type lease struct {
 	events  map[cuda.Event]struct{}
 }
 
-// newConn mints the per-connection handler Attach registers with the
-// RPC server.
-func (s *Server) newConn() *serverConn { return &serverConn{s: s} }
-
-// serverConn serves one connection: it forwards every procedure to the
-// shared Server, adding lease bookkeeping and admission control.
-// Fields are only touched from the connection's serving goroutine
-// (Dispatch, ReplyVerf, and ConnEnd are never concurrent for one
-// connection) or under Server.mu where noted.
+// serverConn serves one connection. It is the connection's
+// oncrpc.Dispatcher — the admission gate — and the RpcCdVersHandler
+// the generated dispatcher calls behind it: the procedures that change
+// the lease's books are methods below, every other one is the embedded
+// Server's. Fields are only touched from the connection's serving
+// goroutine (Dispatch, ReplyVerf, and ConnEnd are never concurrent for
+// one connection) or under Server.mu where noted.
 type serverConn struct {
-	s    *Server
+	*Server
 	ls   *lease        // nil until SRV_ATTACH
 	shed time.Duration // pending AUTH_RETRY hint; consumed by ReplyVerf
+}
+
+// Dispatch is the one place a call enters the server
+// (oncrpc.Dispatcher). A governed procedure is admitted by begin or
+// answered with the shed reply, its arguments left undecoded; the
+// generated dispatcher then decodes the admitted call and runs its
+// handler on sc.
+func (sc *serverConn) Dispatch(proc uint32, dec *xdr.Decoder, enc *xdr.Encoder) error {
+	if governed(proc) {
+		if !sc.begin() {
+			return shedReply(proc, dec, enc)
+		}
+		defer sc.end()
+	}
+	return dispatcherRpcCdVers{sc}.Dispatch(proc, dec, enc)
+}
+
+// governed reports whether proc passes the admission gate. Three
+// procedures bypass it: epoch discovery is part of reconnect and the
+// fleet's liveness probe, so a recovering client or a prober must get
+// an answer even from a saturated or parked server; attach and detach
+// do their own admission (MaxClients) and lease bookkeeping under
+// Server.mu. A number outside the program is left to the generated
+// dispatcher's PROC_UNAVAIL.
+func governed(proc uint32) bool {
+	switch proc {
+	case ProcSrvGetEpoch, ProcSrvAttach, ProcSrvDetach:
+		return false
+	}
+	return proc < uint32(len(RpcCdVersProcNames))
+}
+
+// shedReply writes the reply of a refused call. cricket.x leads every
+// result with its CUDA status — a bare int, or the err discriminant of
+// a union whose non-zero arms are void — so the overload code alone is
+// a complete reply of any result type. Two procedures differ: RPC_NULL
+// returns void, so its reply stays empty (a ping has nothing in-band to
+// carry the code), and BATCH_EXEC is shed all-or-nothing with one
+// overload status per submitted entry, so a client can retry the whole
+// batch after backing off; only the entry count is read from its
+// arguments.
+func shedReply(proc uint32, dec *xdr.Decoder, enc *xdr.Encoder) error {
+	switch proc {
+	case ProcRpcNull:
+		return nil
+	case ProcBatchExec:
+		n, err := dec.Uint32()
+		if err != nil {
+			return err
+		}
+		// The bound the generated decoder puts on any variable-length
+		// array, so a forged count cannot buy an oversized reply.
+		if n > 1<<24 {
+			return fmt.Errorf("%w: %d batch entries", oncrpc.ErrGarbageArgs, n)
+		}
+		enc.PutUint32(n) // the encoder's error is sticky
+		for ; n > 0; n-- {
+			enc.PutInt32(overloadCode)
+		}
+		return enc.Err()
+	}
+	return enc.PutInt32(overloadCode)
 }
 
 // ReplyVerf stamps the retry-after hint on the reply of a shed call
@@ -135,7 +203,7 @@ func (sc *serverConn) ReplyVerf() oncrpc.OpaqueAuth {
 // lease keeps its handles indefinitely — a reconnecting session
 // re-binds it by nonce, matching ungoverned-server behavior.
 func (sc *serverConn) ConnEnd() {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	ls := sc.ls
 	if ls == nil || ls.dead || ls.owner != sc {
@@ -154,10 +222,10 @@ func (sc *serverConn) ConnEnd() {
 // connection's lease (extending its deadline; a lease the sweeper
 // already reclaimed is transparently re-attached under the same nonce,
 // with admission applied — its old handles are gone either way). It
-// returns false when the call is shed; the caller then returns the
-// in-band overload code without executing anything.
+// returns false when the call is shed; Dispatch then writes the shed
+// reply without executing anything.
 func (sc *serverConn) begin() bool {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if s.parked {
 		// A parked server has checkpointed and scaled to zero; it sheds
@@ -198,7 +266,7 @@ func (sc *serverConn) begin() bool {
 }
 
 func (sc *serverConn) end() {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	s.inflight--
 	s.mu.Unlock()
@@ -207,7 +275,7 @@ func (sc *serverConn) end() {
 // shedLocked counts one shed call and arms the reply's retry hint.
 // Called with Server.mu held.
 func (sc *serverConn) shedLocked() {
-	s := sc.s
+	s := sc.Server
 	s.stats.CallsShed++
 	sc.shed = s.limits.RetryAfter
 	if sc.shed <= 0 {
@@ -312,20 +380,31 @@ func (s *Server) releaseLocked(ls *lease, expired bool) (uint64, uint64) {
 	return bytes, handles
 }
 
-// freeAnyDevice frees p on whichever device owns it. The runtime's
-// Free operates on the *current* device, which another client may have
-// switched since the allocation, so reclamation scans the devices
-// directly.
-func (s *Server) freeAnyDevice(p gpu.Ptr) bool {
+// onSomeDevice reports whether op succeeds on some device, trying them
+// in ordinal order. The runtime's own calls operate on the *current*
+// device, which another client may have switched since a lease's
+// allocation was made, so lease bookkeeping scans the devices directly.
+func (s *Server) onSomeDevice(op func(*gpu.Device) error) bool {
 	for i := 0; ; i++ {
 		dev, err := s.rt.Device(i)
 		if err != nil {
 			return false
 		}
-		if _, err := dev.Free(p); err == nil {
+		if op(dev) == nil {
 			return true
 		}
 	}
+}
+
+// freeAnyDevice frees p on whichever device owns it.
+func (s *Server) freeAnyDevice(p gpu.Ptr) bool {
+	return s.onSomeDevice(func(d *gpu.Device) error { _, err := d.Free(p); return err })
+}
+
+// allocated reports whether p still lies in a live allocation of some
+// device.
+func (s *Server) allocated(p gpu.Ptr) bool {
+	return s.onSomeDevice(func(d *gpu.Device) error { _, err := d.ReadInto(p, nil); return err })
 }
 
 // observeReclaim records a reclamation span under the ProcLease
@@ -409,7 +488,7 @@ func (s *Server) StartLeaseSweeper(interval time.Duration) (stop func()) {
 // tagAlloc records a successful allocation against the connection's
 // lease. Quota was reserved by chargeMem before the allocation ran.
 func (sc *serverConn) tagAlloc(p gpu.Ptr, size uint64) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if sc.ls != nil && !sc.ls.dead {
 		sc.ls.allocs[p] = size
@@ -421,7 +500,7 @@ func (sc *serverConn) tagAlloc(p gpu.Ptr, size uint64) {
 // returning false when the quota would be exceeded. Leaseless
 // connections and a zero quota always pass.
 func (sc *serverConn) chargeMem(size uint64) bool {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sc.ls == nil || sc.ls.dead {
@@ -436,7 +515,7 @@ func (sc *serverConn) chargeMem(size uint64) bool {
 
 // refundMem undoes a chargeMem reservation after a failed allocation.
 func (sc *serverConn) refundMem(size uint64) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if sc.ls != nil && !sc.ls.dead && sc.ls.mem >= size {
 		sc.ls.mem -= size
@@ -446,7 +525,7 @@ func (sc *serverConn) refundMem(size uint64) {
 
 // untagAlloc drops a freed allocation from the lease.
 func (sc *serverConn) untagAlloc(p gpu.Ptr) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if ls := sc.ls; ls != nil && !ls.dead {
 		if size, ok := ls.allocs[p]; ok {
@@ -462,7 +541,7 @@ func (sc *serverConn) untagAlloc(p gpu.Ptr) {
 // tagModule / tagStream / tagEvent record created handles; the untag
 // variants drop explicitly destroyed ones.
 func (sc *serverConn) tagModule(m cuda.Module) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if sc.ls != nil && !sc.ls.dead {
 		sc.ls.modules[m] = struct{}{}
@@ -471,7 +550,7 @@ func (sc *serverConn) tagModule(m cuda.Module) {
 }
 
 func (sc *serverConn) untagModule(m cuda.Module) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if sc.ls != nil && !sc.ls.dead {
 		delete(sc.ls.modules, m)
@@ -480,7 +559,7 @@ func (sc *serverConn) untagModule(m cuda.Module) {
 }
 
 func (sc *serverConn) tagStream(h cuda.Stream) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if sc.ls != nil && !sc.ls.dead {
 		sc.ls.streams[h] = struct{}{}
@@ -489,7 +568,7 @@ func (sc *serverConn) tagStream(h cuda.Stream) {
 }
 
 func (sc *serverConn) untagStream(h cuda.Stream) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if sc.ls != nil && !sc.ls.dead {
 		delete(sc.ls.streams, h)
@@ -498,7 +577,7 @@ func (sc *serverConn) untagStream(h cuda.Stream) {
 }
 
 func (sc *serverConn) tagEvent(ev cuda.Event) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if sc.ls != nil && !sc.ls.dead {
 		sc.ls.events[ev] = struct{}{}
@@ -507,7 +586,7 @@ func (sc *serverConn) tagEvent(ev cuda.Event) {
 }
 
 func (sc *serverConn) untagEvent(ev cuda.Event) {
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if sc.ls != nil && !sc.ls.dead {
 		delete(sc.ls.events, ev)
@@ -515,13 +594,14 @@ func (sc *serverConn) untagEvent(ev cuda.Event) {
 	s.mu.Unlock()
 }
 
-// ---- RpcCdVersHandler: lease procedures ----
+// ---- RpcCdVersHandler: procedures that touch the lease's books ----
+// Every other procedure is served by the promoted *Server method.
 
 // SrvAttach grants (or re-binds) a lease for the client's session
 // nonce. Over MaxClients the attach itself is shed: the client backs
 // off on the RetryAfter hint and re-attaches.
 func (sc *serverConn) SrvAttach(a AttachArgs) (LeaseResult, error) {
-	s := sc.s
+	s := sc.Server
 	s.count(func(st *ServerStats) { st.Calls++ })
 	s.mu.Lock()
 	ls, fresh, err := s.attachLocked(a.Nonce, sc)
@@ -547,11 +627,7 @@ func (sc *serverConn) SrvAttach(a AttachArgs) (LeaseResult, error) {
 // deadline (and resurrected a swept lease); a connection that never
 // attached has nothing to renew.
 func (sc *serverConn) SrvRenew() (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	sc.s.count(func(st *ServerStats) { st.Calls++ })
+	sc.count(func(st *ServerStats) { st.Calls++ })
 	if sc.ls == nil {
 		return int32(cuda.ErrorInvalidValue), nil
 	}
@@ -561,7 +637,7 @@ func (sc *serverConn) SrvRenew() (int32, error) {
 // SrvDetach releases the lease and every resource it holds,
 // immediately.
 func (sc *serverConn) SrvDetach() (int32, error) {
-	s := sc.s
+	s := sc.Server
 	s.count(func(st *ServerStats) { st.Calls++ })
 	s.mu.Lock()
 	var rb, rh uint64
@@ -574,63 +650,17 @@ func (sc *serverConn) SrvDetach() (int32, error) {
 	return 0, nil
 }
 
-// ---- RpcCdVersHandler: governed forwards to the shared Server ----
-
-func (sc *serverConn) RpcNull() error {
-	if !sc.begin() {
-		return nil // nothing in-band to carry the shed code; ping is free
-	}
-	defer sc.end()
-	return sc.s.RpcNull()
-}
-
-func (sc *serverConn) CudaGetDeviceCount() (IntResult, error) {
-	if !sc.begin() {
-		return IntResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	return sc.s.CudaGetDeviceCount()
-}
-
-func (sc *serverConn) CudaGetDeviceProperties(dev int32) (PropResult, error) {
-	if !sc.begin() {
-		return PropResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	return sc.s.CudaGetDeviceProperties(dev)
-}
-
-func (sc *serverConn) CudaSetDevice(dev int32) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CudaSetDevice(dev)
-}
-
-func (sc *serverConn) CudaGetDevice() (IntResult, error) {
-	if !sc.begin() {
-		return IntResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	return sc.s.CudaGetDevice()
-}
-
 // CudaMalloc enforces the per-client memory quota, then tags the
 // allocation with the lease so the sweeper can find it.
 func (sc *serverConn) CudaMalloc(size uint64) (PtrResult, error) {
-	if !sc.begin() {
-		return PtrResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
 	if !sc.chargeMem(size) {
 		// Quota exhaustion is an allocation failure, not overload:
 		// retrying cannot help, and it matches the clamped MemGetInfo
 		// view the client already sees.
-		sc.s.count(func(st *ServerStats) { st.Calls++ })
+		sc.count(func(st *ServerStats) { st.Calls++ })
 		return PtrResult{Err: int32(cuda.ErrorMemoryAllocation)}, nil
 	}
-	r, err := sc.s.CudaMalloc(size)
+	r, err := sc.Server.CudaMalloc(size)
 	if err != nil || r.Err != 0 {
 		sc.refundMem(size)
 		return r, err
@@ -640,62 +670,22 @@ func (sc *serverConn) CudaMalloc(size uint64) (PtrResult, error) {
 }
 
 func (sc *serverConn) CudaFree(ptr uint64) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	code, err := sc.s.CudaFree(ptr)
+	code, err := sc.Server.CudaFree(ptr)
 	if err == nil && code == 0 {
 		sc.untagAlloc(gpu.Ptr(ptr))
 	}
 	return code, err
 }
 
-func (sc *serverConn) CudaMemcpyHtod(dst uint64, data MemData) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CudaMemcpyHtod(dst, data)
-}
-
-func (sc *serverConn) CudaMemcpyDtoh(src uint64, n uint64) (DataResult, error) {
-	if !sc.begin() {
-		return DataResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	return sc.s.CudaMemcpyDtoh(src, n)
-}
-
-func (sc *serverConn) CudaMemcpyDtod(dst, src, n uint64) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CudaMemcpyDtod(dst, src, n)
-}
-
-func (sc *serverConn) CudaMemset(ptr uint64, value uint32, n uint64) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CudaMemset(ptr, value, n)
-}
-
 // CudaMemGetInfo reports the quota-clamped view: a client with a
 // memory cap sees its cap as the device total and its unreserved
 // quota as free, so well-behaved allocators self-limit.
 func (sc *serverConn) CudaMemGetInfo() (MemInfoResult, error) {
-	if !sc.begin() {
-		return MemInfoResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	r, err := sc.s.CudaMemGetInfo()
+	r, err := sc.Server.CudaMemGetInfo()
 	if err != nil || r.Err != 0 {
 		return r, err
 	}
-	s := sc.s
+	s := sc.Server
 	s.mu.Lock()
 	if q := s.limits.MaxClientMem; q > 0 && sc.ls != nil && !sc.ls.dead {
 		used := sc.ls.mem
@@ -714,28 +704,35 @@ func (sc *serverConn) CudaMemGetInfo() (MemInfoResult, error) {
 	return r, err
 }
 
-func (sc *serverConn) CudaDeviceSynchronize() (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CudaDeviceSynchronize()
-}
-
+// CudaDeviceReset resets the current device, then squares every
+// lease's books with what is left: the reset replaced the device's
+// whole memory space and destroyed its modules, streams and events,
+// whichever tenant owned them. A tag that outlived its resource would
+// keep its bytes charged against the quota for good, and — the fresh
+// allocator reissues addresses — releasing it later would free another
+// tenant's buffer. Only what is gone is dropped, so the other devices'
+// resources stay tagged, as in Session.DeviceReset.
 func (sc *serverConn) CudaDeviceReset() (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
+	code, err := sc.Server.CudaDeviceReset()
+	s := sc.Server
+	s.mu.Lock()
+	for _, ls := range s.leases {
+		for p, size := range ls.allocs {
+			if !s.allocated(p) {
+				delete(ls.allocs, p)
+				ls.mem -= min(size, ls.mem)
+			}
+		}
+		maps.DeleteFunc(ls.modules, func(m cuda.Module, _ struct{}) bool { return !s.rt.Live(uint64(m)) })
+		maps.DeleteFunc(ls.streams, func(h cuda.Stream, _ struct{}) bool { return !s.rt.Live(uint64(h)) })
+		maps.DeleteFunc(ls.events, func(ev cuda.Event, _ struct{}) bool { return !s.rt.Live(uint64(ev)) })
 	}
-	defer sc.end()
-	return sc.s.CudaDeviceReset()
+	s.mu.Unlock()
+	return code, err
 }
 
 func (sc *serverConn) CudaStreamCreate() (HandleResult, error) {
-	if !sc.begin() {
-		return HandleResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	r, err := sc.s.CudaStreamCreate()
+	r, err := sc.Server.CudaStreamCreate()
 	if err == nil && r.Err == 0 {
 		sc.tagStream(cuda.Stream(r.Handle))
 	}
@@ -743,59 +740,23 @@ func (sc *serverConn) CudaStreamCreate() (HandleResult, error) {
 }
 
 func (sc *serverConn) CudaStreamDestroy(h uint64) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	code, err := sc.s.CudaStreamDestroy(h)
+	code, err := sc.Server.CudaStreamDestroy(h)
 	if err == nil && code == 0 {
 		sc.untagStream(cuda.Stream(h))
 	}
 	return code, err
 }
 
-func (sc *serverConn) CudaStreamSynchronize(h uint64) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CudaStreamSynchronize(h)
-}
-
 func (sc *serverConn) CudaEventCreate() (HandleResult, error) {
-	if !sc.begin() {
-		return HandleResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	r, err := sc.s.CudaEventCreate()
+	r, err := sc.Server.CudaEventCreate()
 	if err == nil && r.Err == 0 {
 		sc.tagEvent(cuda.Event(r.Handle))
 	}
 	return r, err
 }
 
-func (sc *serverConn) CudaEventRecord(ev, stream uint64) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CudaEventRecord(ev, stream)
-}
-
-func (sc *serverConn) CudaEventElapsed(start, end uint64) (FloatResult, error) {
-	if !sc.begin() {
-		return FloatResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	return sc.s.CudaEventElapsed(start, end)
-}
-
 func (sc *serverConn) CudaEventDestroy(ev uint64) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	code, err := sc.s.CudaEventDestroy(ev)
+	code, err := sc.Server.CudaEventDestroy(ev)
 	if err == nil && code == 0 {
 		sc.untagEvent(cuda.Event(ev))
 	}
@@ -806,11 +767,7 @@ func (sc *serverConn) CudaEventDestroy(ev uint64) (int32, error) {
 // the module and reclaimed with it (ModuleUnload frees globals and
 // drops function handles), so they need no tags of their own.
 func (sc *serverConn) CuModuleLoad(image MemData) (HandleResult, error) {
-	if !sc.begin() {
-		return HandleResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	r, err := sc.s.CuModuleLoad(image)
+	r, err := sc.Server.CuModuleLoad(image)
 	if err == nil && r.Err == 0 {
 		sc.tagModule(cuda.Module(r.Handle))
 	}
@@ -818,83 +775,9 @@ func (sc *serverConn) CuModuleLoad(image MemData) (HandleResult, error) {
 }
 
 func (sc *serverConn) CuModuleUnload(m uint64) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	code, err := sc.s.CuModuleUnload(m)
+	code, err := sc.Server.CuModuleUnload(m)
 	if err == nil && code == 0 {
 		sc.untagModule(cuda.Module(m))
 	}
 	return code, err
-}
-
-func (sc *serverConn) CuModuleGetFunction(m uint64, name string) (HandleResult, error) {
-	if !sc.begin() {
-		return HandleResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	return sc.s.CuModuleGetFunction(m, name)
-}
-
-func (sc *serverConn) CuModuleGetGlobal(m uint64, name string) (GlobalResult, error) {
-	if !sc.begin() {
-		return GlobalResult{Err: overloadCode}, nil
-	}
-	defer sc.end()
-	return sc.s.CuModuleGetGlobal(m, name)
-}
-
-func (sc *serverConn) CuLaunchKernel(a LaunchArgs) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CuLaunchKernel(a)
-}
-
-func (sc *serverConn) CkpCheckpoint() (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CkpCheckpoint()
-}
-
-func (sc *serverConn) CkpRestore() (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.CkpRestore()
-}
-
-func (sc *serverConn) MtSetTransfer(method, sockets int32) (int32, error) {
-	if !sc.begin() {
-		return overloadCode, nil
-	}
-	defer sc.end()
-	return sc.s.MtSetTransfer(method, sockets)
-}
-
-func (sc *serverConn) SrvGetEpoch() (uint64, error) {
-	// Epoch discovery is part of reconnect; it is never shed (a
-	// recovering client must always be able to learn the epoch) and
-	// does not touch the lease.
-	return sc.s.SrvGetEpoch()
-}
-
-// BatchExec is shed all-or-nothing: either every entry runs or none
-// did (every status is the overload code), so a client can safely
-// retry the whole batch after backing off.
-func (sc *serverConn) BatchExec(a BatchArgs) (BatchResult, error) {
-	if !sc.begin() {
-		status := make([]int32, len(a.Entries))
-		for i := range status {
-			status[i] = overloadCode
-		}
-		return BatchResult{Status: status}, nil
-	}
-	defer sc.end()
-	return sc.s.BatchExec(a)
 }

@@ -3,12 +3,15 @@ package cricket
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"cricket/internal/cuda"
 	"cricket/internal/guest"
+	"cricket/internal/oncrpc"
+	"cricket/internal/xdr"
 )
 
 // fakeClock is an injectable time source for deterministic lease-expiry
@@ -379,5 +382,360 @@ func TestMaxInflightShedsWithRetryHint(t *testing.T) {
 	srv.mu.Unlock()
 	if _, err := c.GetDeviceCount(); err != nil {
 		t.Fatalf("call after slot freed: %v", err)
+	}
+}
+
+// A device reset frees the device's memory and destroys its handles
+// for every tenant, so every lease's books must follow: a tag that
+// outlives its resource keeps quota charged for good and, once the
+// fresh allocator reissues the address, makes a later release free
+// another tenant's buffer.
+func TestDeviceResetSquaresLeaseBooks(t *testing.T) {
+	t.Run("quota is refunded", func(t *testing.T) {
+		e := newSessEnv(t, "")
+		e.server().SetLimits(Limits{MaxClientMem: 1 << 20})
+		c, _ := governedClient(t, e, 0xa1)
+		defer c.Close()
+		if _, err := c.Malloc(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeviceReset(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Malloc(4096); err != nil {
+			t.Fatalf("Malloc after the reset freed the whole quota: %v", err)
+		}
+		if free, _, err := c.MemGetInfo(); err != nil || free != 1<<20-4096 {
+			t.Fatalf("MemGetInfo free = %d, %v; want the quota less the one live allocation", free, err)
+		}
+	})
+
+	t.Run("a reissued address is not freed by the old owner", func(t *testing.T) {
+		e := newSessEnv(t, "")
+		a, _ := governedClient(t, e, 0xa2)
+		defer a.Close()
+		b, _ := governedClient(t, e, 0xb2)
+		defer b.Close()
+		pa, err := a.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.DeviceReset(); err != nil {
+			t.Fatal(err)
+		}
+		pb, err := b.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pb != pa {
+			t.Fatalf("the fresh allocator gave %#x, not the pre-reset %#x; the test pins nothing", pb, pa)
+		}
+		if err := a.Detach(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.MemcpyDtoH(pb, 4096); err != nil {
+			t.Fatalf("tenant B's buffer after tenant A detached: %v", err)
+		}
+		if got := e.server().Stats().ReclaimedBytes; got != 0 {
+			t.Fatalf("A's detach reclaimed %d bytes, want 0: the reset left it nothing", got)
+		}
+	})
+
+	t.Run("only the reset device's tags are dropped", func(t *testing.T) {
+		e := newSessEnvMulti(t, "", 2)
+		srv := e.server()
+		c, info := governedClient(t, e, 0xa3)
+		defer c.Close()
+		if err := c.SetDevice(1); err != nil {
+			t.Fatal(err)
+		}
+		keep, err := c.StreamCreate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetDevice(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Malloc(512); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ModuleLoad(builtinFatbin()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.StreamCreate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.EventCreate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DeviceReset(); err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		ls := srv.leases[info.LeaseId]
+		_, kept := ls.streams[keep]
+		counts := []int{len(ls.allocs), len(ls.modules), len(ls.streams), len(ls.events)}
+		mem := ls.mem
+		srv.mu.Unlock()
+		if want := []int{0, 0, 1, 0}; !kept || !slices.Equal(counts, want) || mem != 0 {
+			t.Fatalf("lease after reset: allocs/modules/streams/events = %v (device 1's stream kept: %v), mem %d; want %v, true, 0",
+				counts, kept, mem, want)
+		}
+	})
+}
+
+// st shapes a bare-status reply for stubCalls.
+func st(code int32, err error) ([]int32, error) { return []int32{code}, err }
+
+// stubCalls fires each procedure through the generated client stub and
+// returns the statuses its reply carried in-band (none for the two
+// results without a CUDA status). TestGateShedsEveryProcedure ranges
+// over the generated name table, so a procedure added to cricket.x
+// without a row here fails it.
+var stubCalls = map[uint32]func(g *RpcCdVersClient) ([]int32, error){
+	ProcRpcNull:            func(g *RpcCdVersClient) ([]int32, error) { return nil, g.RpcNull() },
+	ProcCudaGetDeviceCount: func(g *RpcCdVersClient) ([]int32, error) { r, err := g.CudaGetDeviceCount(); return st(r.Err, err) },
+	ProcCudaGetDeviceProperties: func(g *RpcCdVersClient) ([]int32, error) {
+		r, err := g.CudaGetDeviceProperties(0)
+		return st(r.Err, err)
+	},
+	ProcCudaSetDevice:         func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaSetDevice(0)) },
+	ProcCudaGetDevice:         func(g *RpcCdVersClient) ([]int32, error) { r, err := g.CudaGetDevice(); return st(r.Err, err) },
+	ProcCudaMalloc:            func(g *RpcCdVersClient) ([]int32, error) { r, err := g.CudaMalloc(64); return st(r.Err, err) },
+	ProcCudaFree:              func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaFree(1)) },
+	ProcCudaMemcpyHtod:        func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaMemcpyHtod(1, make(MemData, 64))) },
+	ProcCudaMemcpyDtoh:        func(g *RpcCdVersClient) ([]int32, error) { r, err := g.CudaMemcpyDtoh(1, 64); return st(r.Err, err) },
+	ProcCudaMemcpyDtod:        func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaMemcpyDtod(1, 2, 64)) },
+	ProcCudaMemset:            func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaMemset(1, 0, 64)) },
+	ProcCudaMemGetInfo:        func(g *RpcCdVersClient) ([]int32, error) { r, err := g.CudaMemGetInfo(); return st(r.Err, err) },
+	ProcCudaDeviceSynchronize: func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaDeviceSynchronize()) },
+	ProcCudaDeviceReset:       func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaDeviceReset()) },
+	ProcCudaStreamCreate:      func(g *RpcCdVersClient) ([]int32, error) { r, err := g.CudaStreamCreate(); return st(r.Err, err) },
+	ProcCudaStreamDestroy:     func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaStreamDestroy(1)) },
+	ProcCudaStreamSynchronize: func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaStreamSynchronize(0)) },
+	ProcCudaEventCreate:       func(g *RpcCdVersClient) ([]int32, error) { r, err := g.CudaEventCreate(); return st(r.Err, err) },
+	ProcCudaEventRecord:       func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaEventRecord(1, 0)) },
+	ProcCudaEventElapsed:      func(g *RpcCdVersClient) ([]int32, error) { r, err := g.CudaEventElapsed(1, 2); return st(r.Err, err) },
+	ProcCudaEventDestroy:      func(g *RpcCdVersClient) ([]int32, error) { return st(g.CudaEventDestroy(1)) },
+	ProcCuModuleLoad: func(g *RpcCdVersClient) ([]int32, error) {
+		r, err := g.CuModuleLoad(builtinFatbin())
+		return st(r.Err, err)
+	},
+	ProcCuModuleUnload: func(g *RpcCdVersClient) ([]int32, error) { return st(g.CuModuleUnload(1)) },
+	ProcCuModuleGetFunction: func(g *RpcCdVersClient) ([]int32, error) {
+		r, err := g.CuModuleGetFunction(1, "k")
+		return st(r.Err, err)
+	},
+	ProcCuModuleGetGlobal: func(g *RpcCdVersClient) ([]int32, error) {
+		r, err := g.CuModuleGetGlobal(1, "g")
+		return st(r.Err, err)
+	},
+	ProcCuLaunchKernel: func(g *RpcCdVersClient) ([]int32, error) {
+		return st(g.CuLaunchKernel(LaunchArgs{Func: 1, Params: make(MemData, 24)}))
+	},
+	ProcCkpCheckpoint: func(g *RpcCdVersClient) ([]int32, error) { return st(g.CkpCheckpoint()) },
+	ProcCkpRestore:    func(g *RpcCdVersClient) ([]int32, error) { return st(g.CkpRestore()) },
+	ProcMtSetTransfer: func(g *RpcCdVersClient) ([]int32, error) { return st(g.MtSetTransfer(0, 1)) },
+	ProcSrvGetEpoch:   func(g *RpcCdVersClient) ([]int32, error) { _, err := g.SrvGetEpoch(); return nil, err },
+	ProcBatchExec: func(g *RpcCdVersClient) ([]int32, error) {
+		r, err := g.BatchExec(BatchArgs{Entries: []BatchEntry{
+			{Op: BatchOpMemset, Handle: 1, N: 64},
+			{Op: BatchOpMemcpyHtod, Handle: 1, Data: make(MemData, 64)},
+			{Op: BatchOpStreamSync},
+		}})
+		return r.Status, err
+	},
+	ProcSrvAttach: func(g *RpcCdVersClient) ([]int32, error) {
+		r, err := g.SrvAttach(AttachArgs{Nonce: 0x6a7e})
+		return st(r.Err, err)
+	},
+	ProcSrvRenew:  func(g *RpcCdVersClient) ([]int32, error) { return st(g.SrvRenew()) },
+	ProcSrvDetach: func(g *RpcCdVersClient) ([]int32, error) { return st(g.SrvDetach()) },
+}
+
+// The admission gate answers for every procedure at once: a parked or
+// saturated server sheds each governed call in-band — the overload
+// code in the result's own shape, the AUTH_RETRY hint on the reply, one
+// CallsShed, and no handler run — while epoch discovery, attach and
+// detach are answered as usual.
+func TestGateShedsEveryProcedure(t *testing.T) {
+	refusals := map[string]func(*testing.T, *Server){
+		"parked": func(t *testing.T, srv *Server) {
+			srv.SetLimits(Limits{RetryAfter: 7 * time.Millisecond})
+			if err := srv.Park(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"saturated": func(t *testing.T, srv *Server) {
+			srv.SetLimits(Limits{MaxInflight: 1, RetryAfter: 7 * time.Millisecond})
+			srv.mu.Lock()
+			srv.inflight = 1
+			srv.mu.Unlock()
+		},
+	}
+	for name, refuse := range refusals {
+		t.Run(name, func(t *testing.T) {
+			e := newSessEnv(t, "")
+			srv := e.server()
+			refuse(t, srv)
+			conn, err := e.redial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rpc := oncrpc.NewClient(conn, RpcCdProg, RpcCdVers)
+			defer rpc.Close()
+			g := NewRpcCdVersClient(rpc)
+
+			for proc, pname := range RpcCdVersProcNames {
+				call := stubCalls[uint32(proc)]
+				if call == nil {
+					t.Fatalf("%s: no stubCalls row", pname)
+				}
+				before := srv.Stats()
+				status, err := call(g)
+				if err != nil {
+					t.Fatalf("%s: %v", pname, err)
+				}
+				after := srv.Stats()
+				hint := rpc.TakeRetryHint()
+				if !governed(uint32(proc)) {
+					if after.Calls != before.Calls+1 || after.CallsShed != before.CallsShed || hint != 0 ||
+						slices.Contains(status, overloadCode) {
+						t.Errorf("%s bypasses the gate, yet: status %v, hint %v, Calls +%d, CallsShed +%d",
+							pname, status, hint, after.Calls-before.Calls, after.CallsShed-before.CallsShed)
+					}
+					continue
+				}
+				want := []int32{overloadCode}
+				switch proc {
+				case ProcRpcNull:
+					want = nil
+				case ProcBatchExec:
+					want = []int32{overloadCode, overloadCode, overloadCode}
+				}
+				if !slices.Equal(status, want) {
+					t.Errorf("%s: in-band status %v, want %v", pname, status, want)
+				}
+				if hint != 7*time.Millisecond {
+					t.Errorf("%s: retry hint %v, want 7ms", pname, hint)
+				}
+				if after.CallsShed != before.CallsShed+1 || after.Calls != before.Calls {
+					t.Errorf("%s: CallsShed +%d, Calls +%d; want +1 and +0 (no handler may run)",
+						pname, after.CallsShed-before.CallsShed, after.Calls-before.Calls)
+				}
+			}
+		})
+	}
+}
+
+// Shed replies are pinned to the byte: the status alone for every
+// result that leads with one — what encoding that result with the
+// overload code and a void arm gives —, nothing for RPC_NULL, and a
+// counted status vector for BATCH_EXEC, whose arguments are read no
+// further than the count.
+func TestShedReplyGoldenBytes(t *testing.T) {
+	code := []byte{0x00, 0x00, 0x03, 0xe8} // cudaErrorServerOverloaded = 1000
+	batchArgs := []byte{0, 0, 0, 3, 0xde, 0xad}
+	batchReply := slices.Concat([]byte{0, 0, 0, 3}, code, code, code)
+	for proc, pname := range RpcCdVersProcNames {
+		if !governed(uint32(proc)) {
+			continue
+		}
+		want := code
+		switch proc {
+		case ProcRpcNull:
+			want = nil
+		case ProcBatchExec:
+			want = batchReply
+		}
+		var out bytes.Buffer
+		enc := xdr.NewEncoder(&out)
+		if err := shedReply(uint32(proc), xdr.NewDecoder(bytes.NewReader(batchArgs)), enc); err != nil || enc.Err() != nil {
+			t.Fatalf("%s: %v / %v", pname, err, enc.Err())
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s: shed reply % x, want % x", pname, out.Bytes(), want)
+		}
+	}
+	for _, r := range []xdr.Marshaler{
+		&IntResult{Err: overloadCode}, &PropResult{Err: overloadCode}, &PtrResult{Err: overloadCode},
+		&DataResult{Err: overloadCode}, &MemInfoResult{Err: overloadCode}, &HandleResult{Err: overloadCode},
+		&FloatResult{Err: overloadCode}, &GlobalResult{Err: overloadCode},
+	} {
+		var out bytes.Buffer
+		if err := r.MarshalXDR(xdr.NewEncoder(&out)); err != nil || !bytes.Equal(out.Bytes(), code) {
+			t.Errorf("%T with the overload code encodes as % x (%v), want the status alone", r, out.Bytes(), err)
+		}
+	}
+	var out bytes.Buffer
+	err := shedReply(ProcBatchExec, xdr.NewDecoder(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})), xdr.NewEncoder(&out))
+	if !errors.Is(err, oncrpc.ErrGarbageArgs) || out.Len() != 0 {
+		t.Errorf("forged batch count: err %v, %d reply bytes; want GARBAGE_ARGS and none", err, out.Len())
+	}
+}
+
+// An admitted call whose arguments do not decode is the generated
+// dispatcher's GARBAGE_ARGS, and the gate still releases its slot.
+func TestGateReleasesSlotOnGarbageArgs(t *testing.T) {
+	e := newSessEnv(t, "")
+	srv := e.server()
+	conn, err := e.redial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpc := oncrpc.NewClient(conn, RpcCdProg, RpcCdVers)
+	defer rpc.Close()
+	var ret PtrResult
+	err = rpc.Call(ProcCudaMalloc, nil, &ret) // CUDA_MALLOC takes a size
+	var ae *oncrpc.AcceptError
+	if !errors.As(err, &ae) || ae.Stat != oncrpc.GarbageArgs {
+		t.Fatalf("CUDA_MALLOC without arguments = %v, want GARBAGE_ARGS", err)
+	}
+	srv.mu.Lock()
+	inflight := srv.inflight
+	srv.mu.Unlock()
+	if st := srv.Stats(); inflight != 0 || st.Calls != 0 || st.CallsShed != 0 {
+		t.Fatalf("after GARBAGE_ARGS: inflight %d, Calls %d, CallsShed %d; want all 0", inflight, st.Calls, st.CallsShed)
+	}
+}
+
+// One tenant resets the device while another allocates and frees on
+// it: the reset's sweep over every lease shares Server.mu with the
+// other connection's tagging (run under -race), and whatever the
+// interleaving, detaching both leaves no allocation and no lease.
+func TestDeviceResetConcurrentWithTagging(t *testing.T) {
+	e := newSessEnv(t, "")
+	e.server().SetLimits(Limits{MaxClientMem: 1 << 20})
+	a, _ := governedClient(t, e, 0xa4)
+	defer a.Close()
+	b, _ := governedClient(t, e, 0xb4)
+	defer b.Close()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if p, err := b.Malloc(4096); err == nil {
+				b.Free(p) // fails when the reset already took the allocation
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if err := a.DeviceReset(); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	for _, c := range []*Client{a, b} {
+		if err := c.Detach(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev, err := e.rt.Device(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, leases := dev.LiveAllocations(), e.server().LeaseCount(); live != 0 || leases != 0 {
+		t.Fatalf("after both tenants detached: %d live allocations, %d leases", live, leases)
 	}
 }

@@ -1,6 +1,7 @@
 package cricket
 
 import (
+	"strconv"
 	"time"
 
 	"cricket/internal/obs"
@@ -12,112 +13,32 @@ import (
 // oncrpc trace hooks that turn RPC-layer timings into per-procedure
 // histograms and joined client/server spans.
 
-// obsProcs sizes the per-procedure histogram tables: procedures 0-33
-// plus the pseudo-procedures for scheduler and lease bookkeeping.
-const obsProcs = ProcLease + 1
+// obsProcs sizes the per-procedure histogram tables: the program's
+// procedures plus the pseudo-procedures for scheduler and lease
+// bookkeeping.
+const obsProcs = int(ProcLease) + 1
 
-// ProcSched is a pseudo-procedure number (outside the RPC program's
-// range) under which scheduler bookkeeping time is recorded.
-const ProcSched = 34
+// ProcSched is a pseudo-procedure number (the first one past the RPC
+// program's range) under which scheduler bookkeeping time is recorded.
+const ProcSched = uint32(len(RpcCdVersProcNames))
 
 // ProcLease is a pseudo-procedure number under which lease-sweeper
 // reclamation work is recorded (attach/renew/detach RPCs use their
 // own procedure numbers; the sweeper runs outside any call).
-const ProcLease = 35
+const ProcLease = ProcSched + 1
 
-// ProcName returns the RPCL name of a Cricket procedure number.
+// ProcName returns the RPCL name of a Cricket procedure number, from
+// the table rpcgen emits for cricket.x.
 func ProcName(proc uint32) string {
-	switch proc {
-	case ProcRpcNull:
-		return "RPC_NULL"
-	case ProcCudaGetDeviceCount:
-		return "CUDA_GET_DEVICE_COUNT"
-	case ProcCudaGetDeviceProperties:
-		return "CUDA_GET_DEVICE_PROPERTIES"
-	case ProcCudaSetDevice:
-		return "CUDA_SET_DEVICE"
-	case ProcCudaGetDevice:
-		return "CUDA_GET_DEVICE"
-	case ProcCudaMalloc:
-		return "CUDA_MALLOC"
-	case ProcCudaFree:
-		return "CUDA_FREE"
-	case ProcCudaMemcpyHtod:
-		return "CUDA_MEMCPY_HTOD"
-	case ProcCudaMemcpyDtoh:
-		return "CUDA_MEMCPY_DTOH"
-	case ProcCudaMemcpyDtod:
-		return "CUDA_MEMCPY_DTOD"
-	case ProcCudaMemset:
-		return "CUDA_MEMSET"
-	case ProcCudaMemGetInfo:
-		return "CUDA_MEM_GET_INFO"
-	case ProcCudaDeviceSynchronize:
-		return "CUDA_DEVICE_SYNCHRONIZE"
-	case ProcCudaDeviceReset:
-		return "CUDA_DEVICE_RESET"
-	case ProcCudaStreamCreate:
-		return "CUDA_STREAM_CREATE"
-	case ProcCudaStreamDestroy:
-		return "CUDA_STREAM_DESTROY"
-	case ProcCudaStreamSynchronize:
-		return "CUDA_STREAM_SYNCHRONIZE"
-	case ProcCudaEventCreate:
-		return "CUDA_EVENT_CREATE"
-	case ProcCudaEventRecord:
-		return "CUDA_EVENT_RECORD"
-	case ProcCudaEventElapsed:
-		return "CUDA_EVENT_ELAPSED"
-	case ProcCudaEventDestroy:
-		return "CUDA_EVENT_DESTROY"
-	case ProcCuModuleLoad:
-		return "CU_MODULE_LOAD"
-	case ProcCuModuleUnload:
-		return "CU_MODULE_UNLOAD"
-	case ProcCuModuleGetFunction:
-		return "CU_MODULE_GET_FUNCTION"
-	case ProcCuModuleGetGlobal:
-		return "CU_MODULE_GET_GLOBAL"
-	case ProcCuLaunchKernel:
-		return "CU_LAUNCH_KERNEL"
-	case ProcCkpCheckpoint:
-		return "CKP_CHECKPOINT"
-	case ProcCkpRestore:
-		return "CKP_RESTORE"
-	case ProcMtSetTransfer:
-		return "MT_SET_TRANSFER"
-	case ProcSrvGetEpoch:
-		return "SRV_GET_EPOCH"
-	case ProcBatchExec:
-		return "BATCH_EXEC"
-	case ProcSrvAttach:
-		return "SRV_ATTACH"
-	case ProcSrvRenew:
-		return "SRV_RENEW"
-	case ProcSrvDetach:
-		return "SRV_DETACH"
-	case ProcSched:
+	switch {
+	case proc < ProcSched && RpcCdVersProcNames[proc] != "":
+		return RpcCdVersProcNames[proc]
+	case proc == ProcSched:
 		return "SCHED"
-	case ProcLease:
+	case proc == ProcLease:
 		return "LEASE_SWEEP"
 	}
-	return "PROC_" + itoa(proc)
-}
-
-// itoa avoids pulling strconv into the hot import set for one
-// fall-through case.
-func itoa(v uint32) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [10]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "PROC_" + strconv.FormatUint(uint64(proc), 10)
 }
 
 // batchProc maps a batch entry op to the logical procedure it stands

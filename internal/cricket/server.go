@@ -180,13 +180,13 @@ func NewServer(rt *cuda.Runtime) *Server {
 func (s *Server) Epoch() uint64 { return s.epoch }
 
 // Attach registers the Cricket program on an RPC server. Every
-// connection gets its own per-connection handler carrying lease and
-// admission state (see lease.go); the underlying Server is shared.
+// connection gets its own dispatcher — the admission gate, carrying
+// lease state (see lease.go); the underlying Server is shared.
 // When an observer is (or later becomes) installed, the RPC server's
 // dispatch trace feeds it, so server spans join client spans by trace
 // id.
 func (s *Server) Attach(rpcSrv *oncrpc.Server) {
-	RegisterRpcCdVersConn(rpcSrv, func() RpcCdVersHandler { return s.newConn() })
+	rpcSrv.RegisterConn(RpcCdProg, RpcCdVers, func() oncrpc.Dispatcher { return &serverConn{Server: s} })
 	s.mu.Lock()
 	s.attached = append(s.attached, rpcSrv)
 	s.mu.Unlock()
@@ -739,11 +739,6 @@ func (s *Server) LatestSnapshot(dev int) *gpu.Snapshot {
 	defer s.mu.Unlock()
 	return s.snapshots[dev]
 }
-
-// SnapshotAge is a placeholder for checkpoint metadata used by the
-// scheduler when migrating clients; simulated checkpoints are
-// instantaneous in wall-clock terms.
-func (s *Server) SnapshotAge(int) time.Duration { return 0 }
 
 // SaveCheckpoint serializes the most recent checkpoint of a device to
 // w (Cricket's checkpoint files). It fails when no checkpoint exists.

@@ -108,10 +108,6 @@ type SessionOptions struct {
 	// [50%, 100%] of the computed delay decorrelates reconnect storms.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Restore asks a restarted server for CKP_RESTORE before replaying
-	// resources, recovering checkpointed memory contents (default on;
-	// set NoRestore to disable).
-	NoRestore bool
 	// Seed makes the backoff jitter deterministic for tests; zero
 	// seeds from the clock.
 	Seed int64
@@ -710,13 +706,11 @@ func (s *Session) replay(c *Client) error {
 		// reallocation. A server with no checkpoint answers in-band and
 		// we continue without contents.
 		restored := false
-		if !s.opts.NoRestore {
-			if err := c.Restore(); err == nil {
-				restored = true
-				anyRestored = true
-			} else if oncrpc.IsTransportError(err) {
-				return err
-			}
+		if err := c.Restore(); err == nil {
+			restored = true
+			anyRestored = true
+		} else if oncrpc.IsTransportError(err) {
+			return err
 		}
 		// Reload this device's modules; function and global handles hang
 		// off them.

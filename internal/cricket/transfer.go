@@ -58,12 +58,6 @@ func (s *Server) ServeDataConn(conn io.ReadWriter) error {
 	// so a connection streaming many chunks allocates per high-water
 	// mark, not per frame.
 	var payload []byte
-	grow := func(n uint64) []byte {
-		if uint64(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		return payload[:n]
-	}
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -80,40 +74,51 @@ func (s *Server) ServeDataConn(conn io.ReadWriter) error {
 		if n > maxDataFrame {
 			return fmt.Errorf("%w: %d-byte payload", ErrDataChannel, n)
 		}
-		var status [4]byte
-		switch op {
-		case dataOpWrite:
-			buf := grow(n)
+		if op != dataOpWrite && op != dataOpRead {
+			return fmt.Errorf("%w: op %d", ErrDataChannel, op)
+		}
+		if uint64(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		buf := payload[:n]
+		if op == dataOpWrite {
 			if _, err := io.ReadFull(conn, buf); err != nil {
 				return err
 			}
-			_, err := s.rt.MemcpyHtoD(ptr, buf)
-			if err == nil {
-				s.addServerBytes(true, n)
-			}
-			binary.BigEndian.PutUint32(status[:], uint32(cuda.Code(err)))
-			if _, err := conn.Write(status[:]); err != nil {
+		}
+		code := s.dataCopy(uint32(op), ptr, buf)
+		var status [4]byte
+		binary.BigEndian.PutUint32(status[:], uint32(code))
+		if _, err := conn.Write(status[:]); err != nil {
+			return err
+		}
+		if op == dataOpRead && code == cuda.Success {
+			if _, err := conn.Write(buf); err != nil {
 				return err
 			}
-		case dataOpRead:
-			buf := grow(n)
-			_, err := s.rt.MemcpyDtoHInto(ptr, buf)
-			if err == nil {
-				s.addServerBytes(false, n)
-			}
-			binary.BigEndian.PutUint32(status[:], uint32(cuda.Code(err)))
-			if _, err := conn.Write(status[:]); err != nil {
-				return err
-			}
-			if cuda.Code(err) == cuda.Success {
-				if _, err := conn.Write(buf); err != nil {
-					return err
-				}
-			}
-		default:
-			return fmt.Errorf("%w: op %d", ErrDataChannel, op)
 		}
 	}
+}
+
+// dataCopy executes one data-plane copy for the three side-channel
+// servers — buf into device memory at ptr for dataOpWrite, out of it
+// for dataOpRead — and counts the bytes only when the device took or
+// gave them. It is closure-free: the shm ring consumer's per-slot path
+// is pinned at 0 allocs/op.
+func (s *Server) dataCopy(op uint32, ptr gpu.Ptr, buf []byte) cuda.Error {
+	var err error
+	switch op {
+	case dataOpWrite:
+		_, err = s.rt.MemcpyHtoD(ptr, buf)
+	case dataOpRead:
+		_, err = s.rt.MemcpyDtoHInto(ptr, buf)
+	default:
+		return cuda.ErrorInvalidValue
+	}
+	if err == nil {
+		s.addServerBytes(op == dataOpWrite, uint64(len(buf)))
+	}
+	return cuda.Code(err)
 }
 
 // ServeData accepts data-channel connections from l until the
@@ -165,22 +170,7 @@ func (s *Server) ServeData(l net.Listener) error {
 // AllocsPerRun pin depends on.
 func (s *Server) ServeShm(r *netsim.ShmRing) {
 	r.Serve(func(op uint32, ptr uint64, buf []byte) uint32 {
-		switch op {
-		case dataOpWrite:
-			_, err := s.rt.MemcpyHtoD(gpu.Ptr(ptr), buf)
-			if err == nil {
-				s.addServerBytes(true, uint64(len(buf)))
-			}
-			return uint32(cuda.Code(err))
-		case dataOpRead:
-			_, err := s.rt.MemcpyDtoHInto(gpu.Ptr(ptr), buf)
-			if err == nil {
-				s.addServerBytes(false, uint64(len(buf)))
-			}
-			return uint32(cuda.Code(err))
-		default:
-			return uint32(cuda.ErrorInvalidValue)
-		}
+		return uint32(s.dataCopy(op, gpu.Ptr(ptr), buf))
 	})
 }
 
@@ -204,35 +194,23 @@ func (s *Server) ServeRDMA(ep *netsim.RdmaEndpoint, window []byte) {
 		if !ok {
 			return
 		}
-		var err error
-		switch msg.Op {
-		case dataOpWrite:
-			if msg.Len > uint64(len(window)) {
-				err = cuda.ErrorInvalidValue
-			} else if _, err = s.rt.MemcpyHtoD(gpu.Ptr(msg.Ptr), window[:msg.Len]); err == nil {
-				s.addServerBytes(true, msg.Len)
-			}
-		case dataOpRead:
-			if msg.Len > uint64(len(window)) {
-				err = cuda.ErrorInvalidValue
-			} else if _, err = s.rt.MemcpyDtoHInto(gpu.Ptr(msg.Ptr), window[:msg.Len]); err == nil {
-				if ep.PostWrite(wkey, 0, msg.Len, msg.Key, msg.Off) != nil {
-					return
-				}
-				wc, ok := ep.PollCQ()
-				if !ok {
-					return
-				}
-				if wc.Err != nil {
-					err = cuda.ErrorInvalidValue
-				} else {
-					s.addServerBytes(false, msg.Len)
-				}
-			}
-		default:
-			err = cuda.ErrorInvalidValue
+		code := cuda.ErrorInvalidValue
+		if msg.Len <= uint64(len(window)) {
+			code = s.dataCopy(msg.Op, gpu.Ptr(msg.Ptr), window[:msg.Len])
 		}
-		if ep.PostSend(netsim.RdmaMsg{Op: msg.Op, Status: uint32(cuda.Code(err))}) != nil {
+		if msg.Op == dataOpRead && code == cuda.Success {
+			if ep.PostWrite(wkey, 0, msg.Len, msg.Key, msg.Off) != nil {
+				return
+			}
+			wc, ok := ep.PollCQ()
+			if !ok {
+				return
+			}
+			if wc.Err != nil {
+				code = cuda.ErrorInvalidValue
+			}
+		}
+		if ep.PostSend(netsim.RdmaMsg{Op: msg.Op, Status: uint32(code)}) != nil {
 			return
 		}
 		if _, ok := ep.PollCQ(); !ok {

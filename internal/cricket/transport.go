@@ -64,16 +64,13 @@ type TransportCaps struct {
 // A Transport moves bulk memcpy payloads between host and device
 // memory. Implementations are used sequentially, like the Client that
 // owns them. Write and Read are whole-transfer operations: the
-// transport splits, frames, and reassembles internally. Writev/Readv
-// are the vectored forms over consecutive device memory. Reopen
+// transport splits, frames, and reassembles internally. Reopen
 // re-establishes the carrier after a reconnect (session replay calls
 // Connect, which renegotiates and reopens); Close releases it.
 type Transport interface {
 	Caps() TransportCaps
 	Write(ptr gpu.Ptr, data []byte) error
 	Read(ptr gpu.Ptr, dst []byte) error
-	Writev(ptr gpu.Ptr, bufs [][]byte) error
-	Readv(ptr gpu.Ptr, bufs [][]byte) error
 	Reopen() error
 	Close() error
 }
@@ -84,54 +81,52 @@ type allocReader interface {
 	ReadAlloc(ptr gpu.Ptr, n uint64) ([]byte, error)
 }
 
-// writevSeq is the generic vectored write: consecutive Writes over
-// advancing device addresses.
-func writevSeq(t Transport, ptr gpu.Ptr, bufs [][]byte) error {
-	for _, b := range bufs {
-		if len(b) == 0 {
-			continue
-		}
-		if err := t.Write(ptr, b); err != nil {
-			return err
-		}
-		ptr += gpu.Ptr(len(b))
-	}
-	return nil
-}
-
-// readvSeq is the generic vectored read.
-func readvSeq(t Transport, ptr gpu.Ptr, bufs [][]byte) error {
-	for _, b := range bufs {
-		if len(b) == 0 {
-			continue
-		}
-		if err := t.Read(ptr, b); err != nil {
-			return err
-		}
-		ptr += gpu.Ptr(len(b))
-	}
-	return nil
-}
-
 // maxInlineChunk bounds one inline RPC memcpy payload: the data-frame
 // cap less headroom for the XDR/RPC envelope, so a full chunk still
 // fits the peer's record-size limit.
 const maxInlineChunk = maxDataFrame - (1 << 12)
 
 // inlineTransport is method (1): payloads travel as RPC arguments on
-// the control connection. It also serves the modeled parallel-sockets
-// configuration (no DataDial): bytes move inline while the simulated
-// cost uses the configured socket concurrency.
+// the control connection. It also carries every negotiated method that
+// has no carrier hook wired — the bytes move inline all the same, and
+// only the simulated cost follows the negotiated path: the configured
+// socket concurrency for parallel sockets (no DataDial), the direct
+// model for shared memory and RDMA (no ShmOpen/RdmaOpen).
 type inlineTransport struct {
 	c *Client
+	// direct bills the direct-path model (one host memcpy for shm,
+	// wire serialization for RDMA; see chargeDirectMove) in place of
+	// the TCP path's per-message cost. Connect sets it from the
+	// negotiated method.
+	direct bool
 }
 
 func (t *inlineTransport) Caps() TransportCaps {
 	return TransportCaps{Method: t.c.transfer, Sockets: t.c.transferConc(), MaxFrame: maxInlineChunk}
 }
 
-func (t *inlineTransport) Write(ptr gpu.Ptr, data []byte) error {
+// copyRPC runs one n-byte memcpy RPC under the transport's cost model
+// and counts its bytes only when the device accepted or produced them;
+// a failed copy moved nothing.
+func (t *inlineTransport) copyRPC(n int, toDevice bool, fn func(ctx context.Context) (int32, error)) error {
 	c := t.c
+	var err error
+	if t.direct {
+		c.countCall()
+		ctx, cancel := c.ctxFor(true)
+		err = inband(fn(ctx))
+		cancel()
+		c.chargeDirectMove(n)
+	} else {
+		err = c.account(true, c.transferConc(), func(ctx context.Context) error { return inband(fn(ctx)) })
+	}
+	if err == nil {
+		c.addBytes(toDevice, uint64(n))
+	}
+	return err
+}
+
+func (t *inlineTransport) Write(ptr gpu.Ptr, data []byte) error {
 	off := 0
 	for {
 		n := len(data) - off
@@ -140,17 +135,12 @@ func (t *inlineTransport) Write(ptr gpu.Ptr, data []byte) error {
 		}
 		chunk := data[off : off+n]
 		dst := uint64(ptr) + uint64(off)
-		var code int32
-		err := c.account(true, c.transferConc(), func(ctx context.Context) (e error) {
-			code, e = c.gen.CudaMemcpyHtodContext(ctx, dst, MemData(chunk))
-			return
+		err := t.copyRPC(n, true, func(ctx context.Context) (int32, error) {
+			return t.c.gen.CudaMemcpyHtodContext(ctx, dst, MemData(chunk))
 		})
-		// Count only bytes the device actually accepted; a failed
-		// copy moved nothing.
-		if err = inband(code, err); err != nil {
+		if err != nil {
 			return err
 		}
-		c.addBytes(true, uint64(n))
 		off += n
 		if off >= len(data) {
 			return nil
@@ -159,29 +149,34 @@ func (t *inlineTransport) Write(ptr gpu.Ptr, data []byte) error {
 }
 
 func (t *inlineTransport) Read(ptr gpu.Ptr, dst []byte) error {
-	c := t.c
 	off := 0
 	for {
 		n := len(dst) - off
 		if n > maxInlineChunk {
 			n = maxInlineChunk
 		}
-		src := uint64(ptr) + uint64(off)
-		var res DataResult
-		err := c.account(true, c.transferConc(), func(ctx context.Context) (e error) {
-			res, e = c.gen.CudaMemcpyDtohContext(ctx, src, uint64(n))
-			return
-		})
-		if err = inband(res.Err, err); err != nil {
+		res, err := t.readChunk(uint64(ptr)+uint64(off), uint64(n))
+		if err != nil {
 			return err
 		}
-		copy(dst[off:off+n], res.Data)
-		c.addBytes(false, uint64(n))
+		copy(dst[off:off+n], res)
 		off += n
 		if off >= len(dst) {
 			return nil
 		}
 	}
+}
+
+// readChunk fetches one chunk of at most maxInlineChunk bytes and
+// returns the RPC's reply buffer.
+func (t *inlineTransport) readChunk(src, n uint64) ([]byte, error) {
+	var res DataResult
+	err := t.copyRPC(int(n), false, func(ctx context.Context) (int32, error) {
+		var e error
+		res, e = t.c.gen.CudaMemcpyDtohContext(ctx, src, n)
+		return res.Err, e
+	})
+	return res.Data, err
 }
 
 // ReadAlloc returns the server's reply buffer directly when the
@@ -194,110 +189,11 @@ func (t *inlineTransport) ReadAlloc(ptr gpu.Ptr, n uint64) ([]byte, error) {
 		}
 		return out, nil
 	}
-	c := t.c
-	var res DataResult
-	err := c.account(true, c.transferConc(), func(ctx context.Context) (e error) {
-		res, e = c.gen.CudaMemcpyDtohContext(ctx, uint64(ptr), n)
-		return
-	})
-	if err = inband(res.Err, err); err != nil {
-		return nil, err
-	}
-	c.addBytes(false, n)
-	return res.Data, nil
+	return t.readChunk(uint64(ptr), n)
 }
 
-func (t *inlineTransport) Writev(ptr gpu.Ptr, bufs [][]byte) error { return writevSeq(t, ptr, bufs) }
-func (t *inlineTransport) Readv(ptr gpu.Ptr, bufs [][]byte) error  { return readvSeq(t, ptr, bufs) }
-func (t *inlineTransport) Reopen() error                           { return nil }
-func (t *inlineTransport) Close() error                            { return nil }
-
-// modelTransport serves a negotiated shared-memory or RDMA method
-// with no carrier hook wired: bytes still move inline over RPC (the
-// in-process transport), while the simulated cost models the direct
-// path — one host memcpy for shm, wire serialization for RDMA.
-type modelTransport struct {
-	c *Client
-}
-
-func (t *modelTransport) Caps() TransportCaps {
-	return TransportCaps{Method: t.c.transfer, Sockets: 1, MaxFrame: maxInlineChunk}
-}
-
-func (t *modelTransport) Write(ptr gpu.Ptr, data []byte) error {
-	c := t.c
-	off := 0
-	for {
-		n := len(data) - off
-		if n > maxInlineChunk {
-			n = maxInlineChunk
-		}
-		chunk := data[off : off+n]
-		dst := uint64(ptr) + uint64(off)
-		err := c.directTransfer(n, true, func(ctx context.Context) (int32, error) {
-			return c.gen.CudaMemcpyHtodContext(ctx, dst, MemData(chunk))
-		})
-		if err != nil {
-			return err
-		}
-		off += n
-		if off >= len(data) {
-			return nil
-		}
-	}
-}
-
-func (t *modelTransport) Read(ptr gpu.Ptr, dst []byte) error {
-	c := t.c
-	off := 0
-	for {
-		n := len(dst) - off
-		if n > maxInlineChunk {
-			n = maxInlineChunk
-		}
-		src := uint64(ptr) + uint64(off)
-		var res DataResult
-		err := c.directTransfer(n, false, func(ctx context.Context) (int32, error) {
-			var e error
-			res, e = c.gen.CudaMemcpyDtohContext(ctx, src, uint64(n))
-			return res.Err, e
-		})
-		if err != nil {
-			return err
-		}
-		copy(dst[off:off+n], res.Data)
-		off += n
-		if off >= len(dst) {
-			return nil
-		}
-	}
-}
-
-func (t *modelTransport) ReadAlloc(ptr gpu.Ptr, n uint64) ([]byte, error) {
-	if n > maxInlineChunk {
-		out := make([]byte, n)
-		if err := t.Read(ptr, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	c := t.c
-	var res DataResult
-	err := c.directTransfer(int(n), false, func(ctx context.Context) (int32, error) {
-		var e error
-		res, e = c.gen.CudaMemcpyDtohContext(ctx, uint64(ptr), n)
-		return res.Err, e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Data, nil
-}
-
-func (t *modelTransport) Writev(ptr gpu.Ptr, bufs [][]byte) error { return writevSeq(t, ptr, bufs) }
-func (t *modelTransport) Readv(ptr gpu.Ptr, bufs [][]byte) error  { return readvSeq(t, ptr, bufs) }
-func (t *modelTransport) Reopen() error                           { return nil }
-func (t *modelTransport) Close() error                            { return nil }
+func (t *inlineTransport) Reopen() error { return nil }
+func (t *inlineTransport) Close() error  { return nil }
 
 // socketTransport is method (2): dedicated data connections carry
 // framed payloads, one contiguous span per connection concurrently
@@ -437,9 +333,6 @@ func (t *socketTransport) Read(ptr gpu.Ptr, dst []byte) error {
 	})
 }
 
-func (t *socketTransport) Writev(ptr gpu.Ptr, bufs [][]byte) error { return writevSeq(t, ptr, bufs) }
-func (t *socketTransport) Readv(ptr gpu.Ptr, bufs [][]byte) error  { return readvSeq(t, ptr, bufs) }
-
 func (t *socketTransport) Close() error {
 	for _, ch := range t.channels {
 		ch.close()
@@ -546,9 +439,6 @@ func (t *shmTransport) Read(ptr gpu.Ptr, dst []byte) error {
 	t.poison(err)
 	return err
 }
-
-func (t *shmTransport) Writev(ptr gpu.Ptr, bufs [][]byte) error { return writevSeq(t, ptr, bufs) }
-func (t *shmTransport) Readv(ptr gpu.Ptr, bufs [][]byte) error  { return readvSeq(t, ptr, bufs) }
 
 func (t *shmTransport) Close() error {
 	if t.ring != nil {
@@ -808,9 +698,6 @@ func (t *rdmaTransport) read(ptr gpu.Ptr, dst []byte) error {
 	}
 	return nil
 }
-
-func (t *rdmaTransport) Writev(ptr gpu.Ptr, bufs [][]byte) error { return writevSeq(t, ptr, bufs) }
-func (t *rdmaTransport) Readv(ptr gpu.Ptr, bufs [][]byte) error  { return readvSeq(t, ptr, bufs) }
 
 func (t *rdmaTransport) Close() error {
 	if t.ep != nil {

@@ -247,51 +247,6 @@ func TestTransportRoundTripEquivalence(t *testing.T) {
 	}
 }
 
-// TestTransportVectored exercises Writev/Readv on every transport:
-// scattered host buffers land back to back on the device and scatter
-// back out bit-identically.
-func TestTransportVectored(t *testing.T) {
-	for _, m := range append([]TransferMethod{TransferRPCArgs}, realMethods...) {
-		t.Run(m.String(), func(t *testing.T) {
-			e := newXportEnv(t)
-			c := connectX(t, e, m)
-			parts := []int{5, 0, 70<<10 + 3, 129}
-			total := 0
-			var bufs [][]byte
-			for i, n := range parts {
-				bufs = append(bufs, pattern(n, byte(0x40+i)))
-				total += n
-			}
-			p, err := c.Malloc(uint64(total))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.MemcpyHtoDv(p, bufs); err != nil {
-				t.Fatalf("Writev: %v", err)
-			}
-			flat, err := c.MemcpyDtoH(p, uint64(total))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(flat, bytes.Join(bufs, nil)) {
-				t.Fatal("vectored write not contiguous on device")
-			}
-			out := make([][]byte, len(parts))
-			for i, n := range parts {
-				out[i] = make([]byte, n)
-			}
-			if err := c.MemcpyDtoHIntov(p, out); err != nil {
-				t.Fatalf("Readv: %v", err)
-			}
-			for i := range bufs {
-				if !bytes.Equal(out[i], bufs[i]) {
-					t.Fatalf("Readv buffer %d differs", i)
-				}
-			}
-		})
-	}
-}
-
 // TestShmBulkPathZeroAllocs pins the shared-memory zero-copy claim at
 // the client API: a steady-state bulk write plus read-into performs no
 // heap allocations on either side of the ring.

@@ -602,6 +602,9 @@ func TestDeviceResetDestroysStreamsAndEvents(t *testing.T) {
 	if _, err := r.EventRecord(keepEv, keep); err != nil {
 		t.Fatalf("other device's handles after reset: %v", err)
 	}
+	if r.Live(uint64(st)) || r.Live(uint64(ev)) || !r.Live(uint64(keep)) || !r.Live(uint64(keepEv)) {
+		t.Fatal("Live disagrees with the handles the reset destroyed")
+	}
 	if _, err := r.StreamSynchronize(0); err != nil {
 		t.Fatalf("default stream after reset: %v", err)
 	}

@@ -349,6 +349,20 @@ func (r *Runtime) DeviceReset() (time.Duration, error) {
 	return r.charge(50 * time.Microsecond), err
 }
 
+// Live reports whether id still names a module, stream or event
+// (handles of every kind share one id sequence, so an id names at most
+// one). It charges no simulated time and reports no pending error: it
+// serves the server's own bookkeeping after a DeviceReset, not a
+// forwarded CUDA call.
+func (r *Runtime) Live(id uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, mod := r.modules[Module(id)]
+	_, st := r.streams[Stream(id)]
+	_, ev := r.events[Event(id)]
+	return mod || st || ev
+}
+
 // SetHandleLimit caps the number of live streams and events combined
 // (the default stream does not count); zero removes the cap. Creation
 // beyond the cap fails with ErrorMemoryAllocation, the code real

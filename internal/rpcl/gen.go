@@ -641,6 +641,15 @@ func (g *generator) emitVersion(prog *ProgramDef, v *VersionDef) error {
 	}
 	g.pf(")\n\n")
 
+	// Keyed elements size the array to the highest procedure number
+	// plus one; a gap in the numbering is an empty name.
+	g.pf("// %sProcNames holds the RPCL name of every procedure of %s,\n// indexed by procedure number.\n", versName, v.Name)
+	g.pf("var %sProcNames = [...]string{\n", versName)
+	for _, p := range v.Procs {
+		g.pf("\tProc%s: %q,\n", goName(p.Name), p.Name)
+	}
+	g.pf("}\n\n")
+
 	cliName := versName + "Client"
 	g.pf("// %s is a typed client for program %s version %d.\n", cliName, prog.Name, v.Number)
 	g.pf("type %s struct {\n\tRPC *oncrpc.Client\n}\n\n", cliName)

@@ -271,6 +271,8 @@ func TestGenerateCompilableGo(t *testing.T) {
 		"type PtrResult struct {",
 		"const RpcCdProg = 0x20000ade",
 		"ProcCudaGetDeviceCount = 1",
+		"var RpcCdVersProcNames = [...]string{",
+		`ProcCudaGetDeviceCount: "CUDA_GET_DEVICE_COUNT",`,
 		"type RpcCdVersClient struct",
 		"func (c *RpcCdVersClient) CudaMalloc(a0 uint64) (PtrResult, error)",
 		"func (c *RpcCdVersClient) CudaGetDeviceCount() (int32, error)",

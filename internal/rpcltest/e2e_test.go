@@ -125,6 +125,9 @@ func TestGeneratedConstants(t *testing.T) {
 	if ProcPing != 0 || ProcNorm != 9 {
 		t.Fatal("procedure numbers wrong")
 	}
+	if len(MiniVersProcNames) != ProcNorm+1 || MiniVersProcNames[ProcPing] != "PING" || MiniVersProcNames[ProcMakeRecord] != "MAKE_RECORD" {
+		t.Fatalf("procedure name table wrong: %q", MiniVersProcNames)
+	}
 }
 
 func TestVoidAndScalars(t *testing.T) {
