@@ -123,6 +123,10 @@ type serverConn struct {
 	*Server
 	ls   *lease        // nil until SRV_ATTACH
 	shed time.Duration // pending AUTH_RETRY hint; consumed by ReplyVerf
+	// stage is where CUDA_MEMCPY_DTOH reads the device for the reply to
+	// reference: it must stay as the handler left it until that reply
+	// is written, which is before the connection's next call.
+	stage []byte
 }
 
 // Dispatch is the one place a call enters the server
@@ -136,6 +140,15 @@ func (sc *serverConn) Dispatch(proc uint32, dec *xdr.Decoder, enc *xdr.Encoder) 
 			return shedReply(proc, dec, enc)
 		}
 		defer sc.end()
+	}
+	switch proc {
+	case ProcCudaMemcpyHtod, ProcCuLaunchKernel, ProcBatchExec:
+		// Their opaques — a copy's payload, launch parameters — are
+		// consumed by the device before the handler returns, so they
+		// are decoded as views of the call record: the device write is
+		// the payload's only copy on this side. Not CU_MODULE_LOAD:
+		// the runtime may keep the image it is given.
+		dec.Borrow()
 	}
 	return dispatcherRpcCdVers{sc}.Dispatch(proc, dec, enc)
 }
@@ -594,8 +607,35 @@ func (sc *serverConn) untagEvent(ev cuda.Event) {
 	s.mu.Unlock()
 }
 
-// ---- RpcCdVersHandler: procedures that touch the lease's books ----
+// ---- RpcCdVersHandler: procedures that touch the lease's books or
+// the connection's staging buffer ----
 // Every other procedure is served by the promoted *Server method.
+
+// CudaMemcpyDtoh implements cudaMemcpy(..., cudaMemcpyDeviceToHost).
+// The device is read into the connection's staging buffer, which the
+// reply references instead of copying. A read that fits the buffer
+// reuses it; a larger one takes the buffer the runtime allocates only
+// once it has validated the range, so a bad (ptr, n) never sizes
+// anything, and keeps it unless it is past xdr.RetainMax.
+func (sc *serverConn) CudaMemcpyDtoh(src uint64, n uint64) (DataResult, error) {
+	s := sc.Server
+	s.count(func(st *ServerStats) { st.Calls++ })
+	var b []byte
+	var d time.Duration
+	var err error
+	if n <= uint64(cap(sc.stage)) {
+		b = sc.stage[:n]
+		d, err = s.rt.MemcpyDtoHInto(gpu.Ptr(src), b)
+	} else if b, d, err = s.rt.MemcpyDtoH(gpu.Ptr(src), n); err == nil && n <= xdr.RetainMax {
+		sc.stage = b
+	}
+	s.observeDevice(ProcCudaMemcpyDtoh, d)
+	if err != nil {
+		return DataResult{Err: errCode(err)}, nil
+	}
+	s.count(func(st *ServerStats) { st.BytesFromGPU += n })
+	return DataResult{Err: 0, Data: b}, nil
+}
 
 // SrvAttach grants (or re-binds) a lease for the client's session
 // nonce. Over MaxClients the attach itself is shed: the client backs

@@ -108,8 +108,9 @@ type ServerStats struct {
 	Wakes uint64 // resumes from parked
 }
 
-// A Server executes forwarded CUDA calls against a runtime. It
-// implements the generated RpcCdVersHandler interface; attach it to an
+// A Server executes forwarded CUDA calls against a runtime. With the
+// per-connection serverConn in front of it (lease.go) it implements
+// the generated RpcCdVersHandler interface; attach it to an
 // oncrpc.Server with Attach. One Server may be shared by any number of
 // client connections — that sharing is the point of Cricket: many
 // unikernels, one GPU.
@@ -364,18 +365,6 @@ func (s *Server) CudaMemcpyHtod(dst uint64, data MemData) (int32, error) {
 		s.count(func(st *ServerStats) { st.BytesToGPU += uint64(len(data)) })
 	}
 	return errCode(err), nil
-}
-
-// CudaMemcpyDtoh implements cudaMemcpy(..., cudaMemcpyDeviceToHost).
-func (s *Server) CudaMemcpyDtoh(src uint64, n uint64) (DataResult, error) {
-	s.count(func(st *ServerStats) { st.Calls++ })
-	b, d, err := s.rt.MemcpyDtoH(gpu.Ptr(src), n)
-	s.observeDevice(ProcCudaMemcpyDtoh, d)
-	if err != nil {
-		return DataResult{Err: errCode(err)}, nil
-	}
-	s.count(func(st *ServerStats) { st.BytesFromGPU += n })
-	return DataResult{Err: 0, Data: b}, nil
 }
 
 // CudaMemcpyDtod implements cudaMemcpy(..., cudaMemcpyDeviceToDevice).

@@ -1,7 +1,6 @@
 package oncrpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -65,7 +64,7 @@ type Client struct {
 
 	wmu sync.Mutex // serializes record writes
 	rw  *RecordWriter
-	wb  bytes.Buffer // call assembly buffer, guarded by wmu
+	wb  xdr.Gather   // call assembly: header and small arguments copied, bulk payloads by reference; guarded by wmu
 	enc *xdr.Encoder // reusable encoder over wb, guarded by wmu
 	tid [8]byte      // AUTH_TRACE credential scratch, guarded by wmu
 
@@ -74,7 +73,14 @@ type Client struct {
 	closed  bool
 	readErr error
 
-	done chan struct{}
+	// The read loop reads every reply into one buffer and lends it to
+	// the call the reply belongs to; the caller hands it back on lent
+	// once the reply is decoded (giveBack), and only then is the next
+	// record read into it. closing lets Close end the loop while the
+	// buffer is out.
+	lent    chan []byte
+	closing chan struct{}
+	done    chan struct{}
 }
 
 // NewClient returns a Client for program prog, version vers, speaking
@@ -87,6 +93,8 @@ func NewClient(conn io.ReadWriteCloser, prog, vers uint32) *Client {
 		conn:    conn,
 		rw:      NewRecordWriter(conn),
 		pending: make(map[uint32]chan []byte),
+		lent:    make(chan []byte, 1),
+		closing: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	c.xid.Store(uint32(time.Now().UnixNano())) // unpredictable-ish initial xid
@@ -136,17 +144,29 @@ func (c *Client) SetFragmentSize(size int) {
 
 func (c *Client) readLoop() {
 	rr := NewRecordReader(c.conn)
+	out := false // the record buffer is with a caller
+	// reclaim runs when the next record starts to arrive, so the loop
+	// waits for it on the connection, not on the previous caller.
+	reclaim := func() {
+		if !out {
+			return
+		}
+		out = false
+		select {
+		case rr.buf = <-c.lent:
+		case <-c.closing: // the buffer stays the caller's
+		}
+	}
 	for {
-		rec, err := rr.ReadRecord()
+		rec, err := rr.next(reclaim)
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		d := xdr.NewDecoder(bytes.NewReader(rec))
-		xid, err := d.Uint32()
-		if err != nil {
+		if len(rec) < 4 {
 			continue // malformed record; drop
 		}
+		xid := binary.BigEndian.Uint32(rec)
 		c.mu.Lock()
 		ch, ok := c.pending[xid]
 		if ok {
@@ -154,10 +174,35 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 		if ok {
+			out, rr.buf = true, nil
 			ch <- rec
 		}
 		// Replies to unknown xids (e.g. timed-out calls) are dropped.
 	}
+}
+
+// forget withdraws an abandoned call. If the read loop had already
+// taken the call's reply, the buffer is on its way on ch: the reply is
+// dropped and the buffer handed straight back.
+func (c *Client) forget(xid uint32, ch chan []byte) {
+	c.mu.Lock()
+	_, waiting := c.pending[xid]
+	delete(c.pending, xid)
+	c.mu.Unlock()
+	if !waiting {
+		if rec, ok := <-ch; ok {
+			c.giveBack(rec)
+		}
+	}
+}
+
+// giveBack returns the lent record buffer to the read loop, or lets
+// go of one grown past what a connection keeps between records.
+func (c *Client) giveBack(rec []byte) {
+	if cap(rec) > xdr.RetainMax {
+		rec = nil
+	}
+	c.lent <- rec
 }
 
 func (c *Client) failAll(err error) {
@@ -227,9 +272,7 @@ func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshale
 
 	encDur, err := c.send(xid, proc, args, tid, tr != nil)
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
+		c.forget(xid, ch)
 		return traceEnd(tr, proc, tid, t0, encDur, err)
 	}
 
@@ -257,6 +300,7 @@ func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshale
 			tw = time.Now()
 		}
 		err := c.decodeReply(rec, xid, reply)
+		c.giveBack(rec)
 		if tr != nil && tr.End != nil {
 			wire := tw.Sub(t0) - encDur
 			if wire < 0 {
@@ -266,14 +310,10 @@ func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshale
 		}
 		return err
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
+		c.forget(xid, ch)
 		return traceEnd(tr, proc, tid, t0, encDur, abandonErr(ctx.Err()))
 	case <-timeoutCh:
-		c.mu.Lock()
-		delete(c.pending, xid)
-		c.mu.Unlock()
+		c.forget(xid, ch)
 		return traceEnd(tr, proc, tid, t0, encDur, ErrTimeout)
 	case <-c.done:
 		c.mu.Lock()
@@ -312,7 +352,9 @@ func abandonErr(err error) error {
 func (c *Client) send(xid, proc uint32, args xdr.Marshaler, tid uint64, traced bool) (time.Duration, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.wb.Reset()
+	// The call holds the caller's bulk arguments by reference only
+	// until its record is written (or it failed).
+	defer c.wb.Reset()
 	// The encoder is recycled across calls (it only holds a writer and
 	// running counters), so assembling a call allocates nothing beyond
 	// what the arguments themselves marshal.
@@ -344,7 +386,7 @@ func (c *Client) send(xid, proc uint32, args xdr.Marshaler, tid uint64, traced b
 	if traced {
 		encDur = time.Since(t0)
 	}
-	if err := c.rw.WriteRecord(c.wb.Bytes()); err != nil {
+	if err := c.rw.WriteRecordv(c.wb.Spans()...); err != nil {
 		// A failed record write means the connection is gone (the
 		// record may be half-sent, so it cannot be reused either way).
 		return encDur, fmt.Errorf("%w: %w", ErrTransport, err)
@@ -364,8 +406,7 @@ func (c *Client) decodeReply(rec []byte, xid uint32, reply xdr.Unmarshaler) erro
 // verifier alongside any error so callers can inspect backpressure
 // hints even on in-band failures.
 func decodeReplyVerf(rec []byte, xid uint32, reply xdr.Unmarshaler) (OpaqueAuth, error) {
-	r := bytes.NewReader(rec)
-	d := xdr.NewDecoder(r)
+	d := xdr.NewBytesDecoder(rec)
 	var hdr ReplyHeader
 	if err := hdr.UnmarshalXDR(d); err != nil {
 		return OpaqueAuth{}, err
@@ -407,6 +448,7 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
+	close(c.closing)
 	err := c.conn.Close()
 	<-c.done // wait for readLoop to drain and fail pending calls
 	return err

@@ -251,8 +251,7 @@ func TestQuickHandleRecordNeverPanics(t *testing.T) {
 	srv := NewServer()
 	srv.Register(testProg, testVers, DispatcherFunc(testDispatcher))
 	f := func(rec []byte) bool {
-		var out bytes.Buffer
-		srv.handleRecord(rec, &out, newConnScratch())
+		handleOne(srv, rec)
 		return true
 	}
 	if err := quickCheck(f, 400); err != nil {
@@ -267,8 +266,7 @@ func TestQuickHandleRecordNeverPanics(t *testing.T) {
 			return false
 		}
 		buf.Write(tail)
-		var out bytes.Buffer
-		srv.handleRecord(buf.Bytes(), &out, newConnScratch())
+		handleOne(srv, buf.Bytes())
 		return true
 	}
 	if err := quickCheck(g, 400); err != nil {

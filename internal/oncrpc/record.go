@@ -89,7 +89,9 @@ func (rw *RecordWriter) WriteRecord(p []byte) error {
 // record mark and the payload spans covering it are coalesced into a
 // single gathered (writev-style) write. Callers with header+payload
 // pairs avoid both the copy and the extra small write per fragment.
+// The writer keeps no reference to bufs once it returns.
 func (rw *RecordWriter) WriteRecordv(bufs ...[]byte) error {
+	defer func() { clear(rw.vecb[:cap(rw.vecb)]) }()
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
@@ -141,6 +143,7 @@ type RecordReader struct {
 	r       io.Reader
 	maxSize int
 	hdr     [4]byte
+	buf     []byte // next's record storage, reused from record to record
 }
 
 // NewRecordReader returns a RecordReader with the default record limit.
@@ -157,10 +160,22 @@ func (rr *RecordReader) SetMaxRecordSize(max int) {
 	rr.maxSize = max
 }
 
-// ReadRecord reads one complete record, reassembling fragments. On a
-// cleanly closed stream before any fragment it returns io.EOF; a close
-// mid-record returns io.ErrUnexpectedEOF.
+// ReadRecord reads one complete record, reassembling fragments, into
+// a fresh slice. On a cleanly closed stream before any fragment it
+// returns io.EOF; a close mid-record returns io.ErrUnexpectedEOF.
 func (rr *RecordReader) ReadRecord() ([]byte, error) {
+	rec, err := rr.next(nil)
+	rr.buf = nil // rec is the caller's
+	return rec, err
+}
+
+// next is ReadRecord into the reader's own buffer, which grows to fit
+// and is reused: the serving loops read every record of a connection
+// through it, and the record is valid until they call next again.
+// ready, if not nil, runs once the record's first mark has arrived and
+// before the buffer is touched, so a loop can wait for the next record
+// while the previous one is still being read by someone else.
+func (rr *RecordReader) next(ready func()) ([]byte, error) {
 	var out []byte
 	first := true
 	for {
@@ -173,6 +188,12 @@ func (rr *RecordReader) ReadRecord() ([]byte, error) {
 			}
 			return nil, fmt.Errorf("oncrpc: read fragment header: %w", err)
 		}
+		if first {
+			if ready != nil {
+				ready()
+			}
+			out = rr.buf[:0]
+		}
 		h := binary.BigEndian.Uint32(rr.hdr[:])
 		last := h&lastFragmentBit != 0
 		n := int(h &^ lastFragmentBit)
@@ -183,12 +204,16 @@ func (rr *RecordReader) ReadRecord() ([]byte, error) {
 			return nil, fmt.Errorf("%w: %d+%d > %d", ErrRecordTooLarge, len(out), n, rr.maxSize)
 		}
 		if n > 0 {
-			// Read each fragment straight into the result slice:
-			// fragment sizes are known up front, so growth is
-			// amortized doubling with no intermediate buffering.
-			if cap(out)-len(out) < n {
-				newCap := 2*cap(out) + n
-				grown := make([]byte, len(out), newCap)
+			// Read each fragment straight into the result slice. The
+			// last fragment's mark gives the record's exact size; until
+			// then growth is geometric, by a quarter and at least the
+			// fragment, so a buffer kept for the next record of this
+			// size holds little more than the record.
+			if need := len(out) + n; need > cap(out) {
+				if g := cap(out) + cap(out)/4; !last && g > need {
+					need = g
+				}
+				grown := make([]byte, len(out), need)
 				copy(grown, out)
 				out = grown
 			}
@@ -206,6 +231,7 @@ func (rr *RecordReader) ReadRecord() ([]byte, error) {
 			if out == nil {
 				out = []byte{}
 			}
+			rr.buf = out
 			return out, nil
 		}
 	}

@@ -240,18 +240,6 @@ func TestQuickRecordSequence(t *testing.T) {
 	}
 }
 
-func BenchmarkRecordWrite1MiB(b *testing.B) {
-	p := make([]byte, 1<<20)
-	w := NewRecordWriter(io.Discard)
-	b.SetBytes(int64(len(p)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := w.WriteRecord(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestRecordVectoredMatchesContiguous(t *testing.T) {
 	// WriteRecordv over any split of the payload must emit exactly
 	// the bytes WriteRecord emits for the concatenation, including

@@ -359,12 +359,12 @@ func TestRPCMismatchDenied(t *testing.T) {
 	if err := e.PutUint32(0); err != nil { // verf body len
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := srv.handleRecord(callBuf.Bytes(), &out, newConnScratch()); err != nil {
+	out, err := handleOne(srv, callBuf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var hdr ReplyHeader
-	if err := xdr.UnmarshalStrict(out.Bytes(), &hdr); err != nil {
+	if err := xdr.UnmarshalStrict(out, &hdr); err != nil {
 		t.Fatal(err)
 	}
 	if hdr.Stat != MsgDenied || hdr.RejStat != RPCMismatch {
@@ -389,17 +389,24 @@ func TestFailingHandlerDoesNotLeakPartialResults(t *testing.T) {
 	if err := hdr.MarshalXDR(e); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := srv.handleRecord(callBuf.Bytes(), &out, newConnScratch()); err != nil {
+	out, err := handleOne(srv, callBuf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var reply ReplyHeader
-	if err := xdr.UnmarshalStrict(out.Bytes(), &reply); err != nil {
+	if err := xdr.UnmarshalStrict(out, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.AccStat != SystemErr {
 		t.Fatalf("accept stat %v", reply.AccStat)
 	}
+}
+
+// handleOne runs one call record through a fresh connection's
+// handleRecord and returns the reply record's bytes.
+func handleOne(srv *Server, rec []byte) ([]byte, error) {
+	spans, err := srv.handleRecord(rec, newConnScratch())
+	return bytes.Join(spans, nil), err
 }
 
 func BenchmarkCallNull(b *testing.B) {

@@ -254,9 +254,11 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 	rw := NewRecordWriter(conn)
 	sc := newConnScratch()
 	defer sc.connEnd()
-	var reply bytes.Buffer
 	for {
-		rec, err := rr.ReadRecord()
+		// Every call of the connection is read into the reader's one
+		// buffer and decoded in place; the dispatcher is done with it
+		// when handleRecord returns.
+		rec, err := rr.next(nil)
 		if err != nil {
 			if s.stopped() {
 				return ErrServerClosed
@@ -264,10 +266,13 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			return err
 		}
 		s.setBusy(cs, true)
-		reply.Reset()
-		err = s.handleRecord(rec, &reply, sc)
+		reply, err := s.handleRecord(rec, sc)
 		if err == nil {
-			err = rw.WriteRecord(reply.Bytes())
+			err = rw.WriteRecordv(reply...)
+		}
+		sc.release()
+		if cap(rr.buf) > xdr.RetainMax {
+			rr.buf = nil
 		}
 		s.setBusy(cs, false)
 		if err != nil {
@@ -329,24 +334,51 @@ func (s *Server) NumConns() int {
 
 // connScratch holds one connection's decode/encode state, recycled
 // across records: replies on a connection are strictly sequential, so
-// a single reader, decoder, encoder, and results buffer serve every
-// call. This keeps per-record dispatch overhead out of steady-state
-// allocation (batched hot paths issue many records). It also holds the
-// connection's per-connection dispatcher instances (RegisterConn),
-// minted lazily and told when the connection ends.
+// a single decoder, encoder, and reply sink serve every call. This
+// keeps per-record dispatch overhead out of steady-state allocation
+// (batched hot paths issue many records). The sink gathers: a bulk
+// result is referenced where the dispatcher left it, not copied. It
+// also holds the connection's per-connection dispatcher instances
+// (RegisterConn), minted lazily and told when the connection ends.
 type connScratch struct {
-	rd      bytes.Reader
 	dec     *xdr.Decoder
 	enc     *xdr.Encoder
-	results bytes.Buffer
+	hdr     bytes.Buffer // the reply header, marshalled once the call's outcome is known
+	out     xdr.Gather   // the reply record: room for hdr, then what the dispatcher encoded
 	perConn map[progVers]Dispatcher
 }
 
+// maxReplyHeader: xid, msg_type, reply_stat, a verifier with a full
+// body, accept_stat and a version range.
+const maxReplyHeader = 3*4 + (2*4 + maxAuthBody) + 4 + 2*4
+
 func newConnScratch() *connScratch {
-	sc := &connScratch{}
-	sc.dec = xdr.NewDecoder(&sc.rd)
-	sc.enc = xdr.NewEncoder(io.Discard)
-	return sc
+	return &connScratch{dec: xdr.NewBytesDecoder(nil), enc: xdr.NewEncoder(io.Discard)}
+}
+
+// replyWith completes the reply record with hdr and returns its spans:
+// the header and the results' small change in one, a bulk result in a
+// span of its own. Unless results is set, what the dispatcher encoded
+// is dropped.
+func (sc *connScratch) replyWith(hdr *ReplyHeader, results bool) ([][]byte, error) {
+	if !results {
+		sc.out.Reserve(maxReplyHeader)
+	}
+	sc.hdr.Reset()
+	if err := sc.encTo(&sc.hdr).Marshal(hdr); err != nil {
+		return nil, err
+	}
+	if !sc.out.Prepend(sc.hdr.Bytes()) {
+		return nil, fmt.Errorf("oncrpc: %d-byte reply header", sc.hdr.Len())
+	}
+	return sc.out.Spans(), nil
+}
+
+// release lets go of the call record and of everything the last
+// reply referenced, once it is written.
+func (sc *connScratch) release() {
+	sc.dec.ResetBytes(nil)
+	sc.out.Reset()
 }
 
 // connEnd notifies every per-connection dispatcher that its connection
@@ -389,25 +421,31 @@ func (s *Server) dispatcherFor(sc *connScratch, key progVers) (Dispatcher, bool)
 	return d, ok
 }
 
-// handleRecord processes one call record and writes the complete reply
-// record into out, using the connection's recycled scratch state.
-func (s *Server) handleRecord(rec []byte, out *bytes.Buffer, sc *connScratch) error {
-	sc.rd.Reset(rec)
-	sc.dec.Reset(&sc.rd)
+// AfterDispatchForTest, when a test sets it, is handed each call
+// record as soon as its dispatcher has returned, to overwrite, so that
+// a view kept past Dispatch fails visibly. Set it only while no
+// connection is being served.
+var AfterDispatchForTest func(rec []byte)
+
+// handleRecord processes one call record, decoding it in place, and
+// returns the spans of the complete reply record (none for a call
+// dropped without reply), using the connection's recycled scratch
+// state. The spans are valid until sc.release.
+func (s *Server) handleRecord(rec []byte, sc *connScratch) ([][]byte, error) {
+	sc.dec.ResetBytes(rec)
 	d := sc.dec
 	var call CallHeader
 	if err := call.UnmarshalXDR(d); err != nil {
 		var ve *VersionError
 		if errors.As(err, &ve) {
-			hdr := ReplyHeader{
+			return sc.replyWith(&ReplyHeader{
 				XID: call.XID, Stat: MsgDenied, RejStat: RPCMismatch,
 				Mismatch: MismatchInfo{Low: RPCVersion, High: RPCVersion},
-			}
-			return sc.encTo(out).Marshal(&hdr)
+			}, false)
 		}
 		// Undecodable header: nothing sensible to reply; drop the call.
 		s.logf("oncrpc: dropping undecodable call: %v", err)
-		return nil
+		return nil, nil
 	}
 
 	disp, ok := s.dispatcherFor(sc, progVers{call.Prog, call.Vers})
@@ -424,19 +462,23 @@ func (s *Server) handleRecord(rec []byte, out *bytes.Buffer, sc *connScratch) er
 		hdr.Mismatch = rng
 	}
 	if hdr.AccStat != Success {
-		return sc.encTo(out).Marshal(&hdr)
+		return sc.replyWith(&hdr, false)
 	}
 
-	// Run the dispatcher into a scratch buffer so a failing handler
-	// cannot corrupt the reply stream.
-	sc.results.Reset()
-	enc := sc.encTo(&sc.results)
+	// The dispatcher encodes behind the room kept for the header, which
+	// is written once the outcome is known; what a failing handler
+	// encoded is dropped with it.
+	sc.out.Reserve(maxReplyHeader)
+	enc := sc.encTo(&sc.out)
 	tr := s.trace.Load()
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
 	err := disp.Dispatch(call.Proc, d, enc)
+	if AfterDispatchForTest != nil {
+		AfterDispatchForTest(rec)
+	}
 	if err == nil {
 		err = enc.Err()
 	}
@@ -459,17 +501,7 @@ func (s *Server) handleRecord(rec []byte, out *bytes.Buffer, sc *connScratch) er
 	if tr != nil && tr.Done != nil {
 		tr.Done(call.Proc, TraceID(call.Cred), time.Since(t0), hdr.AccStat)
 	}
-
-	e := sc.encTo(out)
-	if err := e.Marshal(&hdr); err != nil {
-		return err
-	}
-	if hdr.AccStat == Success {
-		if _, err := out.Write(sc.results.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sc.replyWith(&hdr, hdr.AccStat == Success)
 }
 
 // isDecodeError classifies xdr decoding failures as GARBAGE_ARGS.

@@ -35,17 +35,17 @@ func (s *Server) ServePacket(conn net.PacketConn) error {
 		if err != nil {
 			return err
 		}
-		rec := make([]byte, n)
-		copy(rec, buf[:n])
-		var out bytes.Buffer
-		if err := s.handleRecord(rec, &out, sc); err != nil {
+		reply, err := s.handleRecord(buf[:n], sc)
+		out := bytes.Join(reply, nil)
+		sc.release()
+		if err != nil {
 			s.logf("oncrpc: udp: %v", err)
 			continue
 		}
-		if out.Len() == 0 || out.Len() > maxUDPPayload {
+		if len(out) == 0 || len(out) > maxUDPPayload {
 			continue // dropped call or oversized reply
 		}
-		if _, err := conn.WriteTo(out.Bytes(), addr); err != nil {
+		if _, err := conn.WriteTo(out, addr); err != nil {
 			s.logf("oncrpc: udp reply to %v: %v", addr, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package oncrpc
 
 import (
-	"bytes"
 	"errors"
 	"net"
 	"testing"
@@ -104,11 +103,11 @@ func TestUDPRetransmission(t *testing.T) {
 			}
 			rec := make([]byte, n)
 			copy(rec, buf[:n])
-			var out bytes.Buffer
-			if err := srv.handleRecord(rec, &out, newConnScratch()); err != nil {
+			out, err := handleOne(srv, rec)
+			if err != nil {
 				continue
 			}
-			pc.WriteTo(out.Bytes(), addr)
+			pc.WriteTo(out, addr)
 		}
 	}()
 

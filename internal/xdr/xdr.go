@@ -10,7 +10,9 @@
 // Marshaler/Unmarshaler interfaces that composite types implement to
 // participate in encoding. All limits are explicit: decoders never
 // allocate more than the configured maximum for a variable-length
-// item, which protects servers from hostile length prefixes.
+// item, nor, when decoding a record held in memory (ResetBytes), more
+// than the bytes the record still holds, which protects servers from
+// hostile length prefixes.
 package xdr
 
 import (
@@ -78,19 +80,23 @@ func OpaqueLen(n int) int {
 // once via Err or by using the error returned from the last call.
 type Encoder struct {
 	w   io.Writer
-	n   int64 // bytes written
+	g   *Gather // w, when it is a gather sink
+	n   int64   // bytes written
 	err error
 	buf [8]byte
 }
 
 // NewEncoder returns an Encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: w}
+	e := &Encoder{}
+	e.Reset(w)
+	return e
 }
 
 // Reset discards state and retargets the encoder at w.
 func (e *Encoder) Reset(w io.Writer) {
 	e.w = w
+	e.g, _ = w.(*Gather)
 	e.n = 0
 	e.err = nil
 }
@@ -161,9 +167,14 @@ func (e *Encoder) PutFloat64(v float64) error {
 
 // PutFixedOpaque encodes fixed-length opaque data: the bytes of p
 // followed by zero padding to a 4-byte boundary. The length itself is
-// not encoded; the receiver must know it.
+// not encoded; the receiver must know it. An encoder writing to a
+// Gather hands it a p of GatherMin bytes or more by reference: the
+// caller must leave p unchanged until the gathered spans are written.
 func (e *Encoder) PutFixedOpaque(p []byte) error {
-	if err := e.write(p); err != nil {
+	if e.g != nil && len(p) >= GatherMin && e.err == nil {
+		e.g.refs = append(e.g.refs, spanRef{len(e.g.buf), p})
+		e.n += int64(len(p))
+	} else if err := e.write(p); err != nil {
 		return err
 	}
 	if pad := Pad(len(p)); pad > 0 {
@@ -272,11 +283,14 @@ func (e *Encoder) Marshal(v Marshaler) error {
 	return e.err
 }
 
-// A Decoder reads XDR-encoded data from an underlying io.Reader.
-// Like Encoder it is sticky-error: after the first failure every
-// method returns the same error.
+// A Decoder reads XDR-encoded data from an underlying io.Reader, or
+// from a record held in memory (NewBytesDecoder, ResetBytes). Like
+// Encoder it is sticky-error: after the first failure every method
+// returns the same error.
 type Decoder struct {
-	r       io.Reader
+	r       io.Reader // nil when decoding data
+	data    []byte    // the record; n is the cursor into it
+	borrow  bool      // variable-length items are views of data
 	n       int64
 	err     error
 	maxSize int
@@ -289,12 +303,31 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: r, maxSize: DefaultMaxSize}
 }
 
+// NewBytesDecoder returns a Decoder reading the record b with the
+// default variable-length limit.
+func NewBytesDecoder(b []byte) *Decoder {
+	return &Decoder{data: b, maxSize: DefaultMaxSize}
+}
+
 // Reset discards state and retargets the decoder at r, keeping the
 // configured maximum item size.
 func (d *Decoder) Reset(r io.Reader) {
-	d.r = r
-	d.n = 0
-	d.err = nil
+	*d = Decoder{r: r, maxSize: d.maxSize}
+}
+
+// ResetBytes discards state and retargets the decoder at the record
+// b, keeping the configured maximum item size. Decoded items are
+// copies of b's bytes unless Borrow is called.
+func (d *Decoder) ResetBytes(b []byte) {
+	*d = Decoder{data: b, maxSize: d.maxSize}
+}
+
+// Borrow makes Opaque and OpaqueInto return views of the record being
+// decoded instead of copies, until the next Reset or ResetBytes: the
+// caller must be done with them before the record's buffer is reused.
+// It has no effect on a decoder reading from an io.Reader.
+func (d *Decoder) Borrow() {
+	d.borrow = d.r == nil
 }
 
 // SetMaxSize bounds the length of any variable-length item the decoder
@@ -316,7 +349,15 @@ func (d *Decoder) read(p []byte) error {
 	if d.err != nil {
 		return d.err
 	}
-	n, err := io.ReadFull(d.r, p)
+	var n int
+	var err error
+	if d.r != nil {
+		n, err = io.ReadFull(d.r, p)
+	} else if n = copy(p, d.data[d.n:]); n < len(p) {
+		if err = io.ErrUnexpectedEOF; n == 0 {
+			err = io.EOF
+		}
+	}
 	d.n += int64(n)
 	if err != nil {
 		if err == io.ErrUnexpectedEOF || err == io.EOF {
@@ -413,38 +454,45 @@ func (d *Decoder) FixedOpaque(p []byte) error {
 	return d.readPad(len(p))
 }
 
+// itemLen decodes the length prefix of a variable-length item of
+// elem-byte elements and holds it to the configured maximum and, when
+// decoding a record, to the bytes the record has left: a forged prefix
+// fails as the short read it is before anything is allocated for it.
+func (d *Decoder) itemLen(elem int64) (int, error) {
+	n, err := d.Uint32()
+	if err != nil {
+		return 0, err
+	}
+	size := int64(n) * elem
+	if size > int64(d.maxSize) {
+		d.err = fmt.Errorf("%w: %d items of %d bytes > %d", ErrTooLong, n, elem, d.maxSize)
+	} else if d.r == nil && size > int64(len(d.data))-d.n {
+		d.err = fmt.Errorf("xdr: short read after %d bytes: %w", d.n, io.ErrUnexpectedEOF)
+	}
+	return int(n), d.err
+}
+
 // Opaque decodes variable-length opaque data, enforcing the configured
 // maximum item size.
 func (d *Decoder) Opaque() ([]byte, error) {
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if int64(n) > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d > %d", ErrTooLong, n, d.maxSize)
-		return nil, d.err
-	}
-	p := make([]byte, n)
-	if err := d.FixedOpaque(p); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return d.OpaqueInto(nil)
 }
 
 // OpaqueInto decodes variable-length opaque data into dst when it fits
 // (avoiding an allocation) and otherwise allocates. It returns the
 // decoded bytes.
 func (d *Decoder) OpaqueInto(dst []byte) ([]byte, error) {
-	n, err := d.Uint32()
+	n, err := d.itemLen(1)
 	if err != nil {
 		return nil, err
 	}
-	if int64(n) > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d > %d", ErrTooLong, n, d.maxSize)
-		return nil, d.err
-	}
 	var p []byte
-	if int(n) <= cap(dst) {
+	if d.borrow {
+		end := d.n + int64(n)
+		p, d.n = d.data[d.n:end:end], end
+		return p, d.readPad(n)
+	}
+	if dst != nil && n <= cap(dst) {
 		p = dst[:n]
 	} else {
 		p = make([]byte, n)
@@ -490,13 +538,9 @@ func (d *Decoder) Optional(decode func(*Decoder) error) (present bool, err error
 
 // Uint32Slice decodes a variable-length array of unsigned integers.
 func (d *Decoder) Uint32Slice() ([]uint32, error) {
-	n, err := d.Uint32()
+	n, err := d.itemLen(4)
 	if err != nil {
 		return nil, err
-	}
-	if int64(n)*4 > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
-		return nil, d.err
 	}
 	vs := make([]uint32, n)
 	for i := range vs {
@@ -509,13 +553,9 @@ func (d *Decoder) Uint32Slice() ([]uint32, error) {
 
 // Uint64Slice decodes a variable-length array of unsigned hypers.
 func (d *Decoder) Uint64Slice() ([]uint64, error) {
-	n, err := d.Uint32()
+	n, err := d.itemLen(8)
 	if err != nil {
 		return nil, err
-	}
-	if int64(n)*8 > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
-		return nil, d.err
 	}
 	vs := make([]uint64, n)
 	for i := range vs {
@@ -528,13 +568,9 @@ func (d *Decoder) Uint64Slice() ([]uint64, error) {
 
 // Float64Slice decodes a variable-length array of doubles.
 func (d *Decoder) Float64Slice() ([]float64, error) {
-	n, err := d.Uint32()
+	n, err := d.itemLen(8)
 	if err != nil {
 		return nil, err
-	}
-	if int64(n)*8 > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d elements", ErrTooLong, n)
-		return nil, d.err
 	}
 	vs := make([]float64, n)
 	for i := range vs {

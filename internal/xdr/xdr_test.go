@@ -3,6 +3,7 @@ package xdr
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -630,5 +631,214 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// decodeOps runs a fixed op sequence and renders every result, so two
+// decoders over the same bytes can be compared.
+func decodeOps(d *Decoder, ops []uint8) string {
+	var sb strings.Builder
+	for _, op := range ops {
+		var v any
+		var err error
+		switch op % 8 {
+		case 0:
+			v, err = d.Uint32()
+		case 1:
+			v, err = d.Uint64()
+		case 2:
+			v, err = d.Bool()
+		case 3:
+			v, err = d.String()
+		case 4:
+			v, err = d.Opaque()
+		case 5:
+			v, err = d.OpaqueInto(make([]byte, 0, 8))
+		case 6:
+			v, err = d.Uint32Slice()
+		case 7:
+			v, err = d.Float64Slice()
+		}
+		if err != nil {
+			// Messages may differ (a forged length is refused before
+			// the read is tried); what is an error must not.
+			sb.WriteString("error")
+			break
+		}
+		fmt.Fprintf(&sb, "%v;", v)
+	}
+	return sb.String()
+}
+
+// Property: a decoder over a record in memory, copying or borrowing,
+// decodes exactly what a decoder over a reader of the same bytes does.
+func TestQuickBytesDecoderMatchesReader(t *testing.T) {
+	f := func(data []byte, ops []uint8) bool {
+		rd := NewDecoder(bytes.NewReader(data))
+		rd.SetMaxSize(1 << 16)
+		want := decodeOps(rd, ops)
+		cp := NewBytesDecoder(data)
+		cp.SetMaxSize(1 << 16)
+		bw := NewBytesDecoder(data)
+		bw.SetMaxSize(1 << 16)
+		bw.Borrow()
+		return decodeOps(cp, ops) == want && decodeOps(bw, ops) == want && cp.Len() == bw.Len()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	// A well-formed message, so the property is not only about errors.
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	e.PutOpaque([]byte("hello"))
+	e.PutString("wörld")
+	e.PutUint32Slice([]uint32{1, 2, 3})
+	e.PutFloat64Slice([]float64{1.5})
+	if !f(buf.Bytes(), []uint8{4, 3, 6, 7}) {
+		t.Fatal("well-formed message decodes differently")
+	}
+}
+
+// TestForgedLengthFailsBeforeAllocating: four bytes declaring a 1 GiB
+// item are a short read, and nothing is allocated to find that out.
+func TestForgedLengthFailsBeforeAllocating(t *testing.T) {
+	wire := []byte{0x40, 0, 0, 0, 1, 2, 3, 4}
+	decoders := map[string]func(*Decoder) error{
+		"Opaque":       func(d *Decoder) error { _, err := d.Opaque(); return err },
+		"OpaqueInto":   func(d *Decoder) error { _, err := d.OpaqueInto(make([]byte, 0, 4)); return err },
+		"String":       func(d *Decoder) error { _, err := d.String(); return err },
+		"Uint32Slice":  func(d *Decoder) error { d.Uint32(); _, err := d.Uint32Slice(); return err },
+		"Uint64Slice":  func(d *Decoder) error { d.Uint32(); _, err := d.Uint64Slice(); return err },
+		"Float64Slice": func(d *Decoder) error { d.Uint32(); _, err := d.Float64Slice(); return err },
+	}
+	// The slice decoders get a count that fits the 1 GiB item limit
+	// only as a count: 0x01020304 elements are 64 MiB and more.
+	sliceWire := []byte{0, 0, 0, 0, 1, 2, 3, 4}
+	for name, decode := range decoders {
+		w := wire
+		if strings.HasSuffix(name, "Slice") {
+			w = sliceWire
+		}
+		d := NewBytesDecoder(nil)
+		var err error
+		allocs := testing.AllocsPerRun(10, func() {
+			d.ResetBytes(w)
+			err = decode(d)
+		})
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "short read") {
+			t.Errorf("%s: err = %v, want the short-read error", name, err)
+		}
+		// Building the error is the only allocation left; the item's
+		// would be one more, of 64 MiB or 1 GiB.
+		if allocs > 4 {
+			t.Errorf("%s: %v allocations on the failure path", name, allocs)
+		}
+	}
+}
+
+func TestBorrowYieldsViewsCopyDoesNot(t *testing.T) {
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	e.PutOpaque([]byte{1, 2, 3, 4, 5})
+	e.PutUint32(7)
+	rec := buf.Bytes()
+
+	d := NewBytesDecoder(rec)
+	cp, err := d.Opaque()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.ResetBytes(rec)
+	d.Borrow()
+	view, err := d.Opaque()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, err := d.Uint32(); err != nil || after != 7 {
+		t.Fatalf("item after a borrowed opaque = %d, %v", after, err)
+	}
+	if cap(view) != len(view) {
+		t.Errorf("view has cap %d beyond its %d bytes: an append would write into the record", cap(view), len(view))
+	}
+	rec[4] = 99 // first payload byte
+	if view[0] != 99 {
+		t.Error("borrowed opaque is not a view of the record")
+	}
+	if cp[0] != 1 {
+		t.Error("Opaque without Borrow aliases the record")
+	}
+	d.ResetBytes(rec)
+	if p, _ := d.Opaque(); &p[0] == &rec[4] {
+		t.Error("ResetBytes kept Borrow on")
+	}
+	// On a reader there is nothing to borrow from.
+	rd := NewDecoder(bytes.NewReader(rec))
+	rd.Borrow()
+	if p, err := rd.Opaque(); err != nil || p[0] != 99 {
+		t.Fatalf("reader decoder after Borrow: %v, %v", p, err)
+	}
+}
+
+func TestGatherReferencesLargeOpaques(t *testing.T) {
+	small := bytes.Repeat([]byte{0xaa}, GatherMin-1)
+	big := bytes.Repeat([]byte{0xbb}, GatherMin+1) // one pad byte short of aligned
+	var g Gather
+	var flat bytes.Buffer
+	for _, w := range []io.Writer{&g, &flat} {
+		e := NewEncoder(w)
+		e.PutUint32(1)
+		e.PutOpaque(small)
+		e.PutOpaque(big)
+		e.PutOpaque(big[:GatherMin])
+		if err := e.PutUint32(2); err != nil {
+			t.Fatal(err)
+		}
+		if e.Len() != int64(4+OpaqueLen(len(small))+OpaqueLen(len(big))+OpaqueLen(GatherMin)+4) {
+			t.Fatalf("encoder counted %d bytes", e.Len())
+		}
+	}
+	spans := g.Spans()
+	if !bytes.Equal(bytes.Join(spans, nil), flat.Bytes()) {
+		t.Fatal("gathered spans differ from the staged encoding")
+	}
+	// prefix+small, big, pad+prefix, big[:GatherMin], trailer.
+	if len(spans) != 5 || &spans[1][0] != &big[0] || &spans[3][0] != &big[0] || len(spans[3]) != GatherMin {
+		t.Fatalf("%d spans; payloads of GatherMin bytes and more must be referenced, smaller ones copied", len(spans))
+	}
+
+	// A header prepended after the fact lands in the first span.
+	var late Gather
+	late.Reserve(8)
+	e := NewEncoder(&late)
+	e.PutUint32(3)
+	e.PutOpaque(big)
+	if late.Prepend(make([]byte, 9)) {
+		t.Fatal("Prepend accepted more than Reserve set aside")
+	}
+	if !late.Prepend([]byte{0xca, 0xfe}) || !late.Prepend([]byte{0xbe}) {
+		t.Fatal("Prepend refused what fits")
+	}
+	spans = late.Spans()
+	if want := append([]byte{0xbe, 0xca, 0xfe, 0, 0, 0, 3}, 0, 0, byte(len(big)>>8), byte(len(big))); len(spans) != 3 || !bytes.Equal(spans[0], want) {
+		t.Fatalf("first of %d spans after Prepend: %x", len(spans), spans[0])
+	}
+	late.Reset()
+	if late.Prepend([]byte{1}) || len(late.Spans()) != 0 {
+		t.Fatal("Reset left room or bytes behind")
+	}
+
+	g.Reset()
+	if n := len(g.Spans()); n != 0 {
+		t.Fatalf("%d spans after Reset", n)
+	}
+	for _, r := range g.refs[:cap(g.refs)] {
+		if r.p != nil {
+			t.Fatal("Reset left a payload referenced")
+		}
+	}
+	g.Write(make([]byte, RetainMax+1))
+	g.Reset()
+	if cap(g.buf) != 0 {
+		t.Fatalf("Reset kept a %d-byte buffer, past RetainMax", cap(g.buf))
 	}
 }
