@@ -33,12 +33,16 @@ ci: build vet race gen-check
 gen-check: generate
 	git diff --exit-code -- '*/gen_*.go'
 
-# loc prints the line count ROADMAP item 2 gates on: hand-written,
-# non-test Go per internal package (gen_*.go and *_test.go excluded).
+# loc prints the line counts ROADMAP gates on: hand-written, non-test
+# Go (gen_*.go and *_test.go excluded) per internal package, for cmd/
+# (all commands) and the module root, and in total.
 loc:
-	@for d in internal/*/; do \
-		printf '%6d %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' ! -name 'gen_*' -exec cat {} + | wc -l)" "$$d"; \
-	done
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -name 'gen_*' -exec cat {} + | wc -l; }; \
+	total=0; \
+	for d in internal/*/; do n=$$(count $$d -maxdepth 1); total=$$((total+n)); printf '%6d %s\n' $$n $$d; done; \
+	n=$$(count cmd); total=$$((total+n)); printf '%6d %s\n' $$n cmd/; \
+	n=$$(count . -maxdepth 1); total=$$((total+n)); printf '%6d %s\n' $$n ./; \
+	printf '%6d %s\n' $$total total
 
 bench:
 	$(GO) run ./cmd/benchharness -all -ci

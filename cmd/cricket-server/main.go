@@ -177,13 +177,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Co-host a port mapper and self-register, so libtirpc-style
-	// clients can discover the service (RFC 1833).
-	pm := oncrpc.NewPortmap()
-	pm.Register(rpcSrv)
-	port := uint32(l.Addr().(*net.TCPAddr).Port)
-	pm.Set(oncrpc.Mapping{Prog: cricket.RpcCdProg, Vers: cricket.RpcCdVers, Prot: oncrpc.IPProtoTCP, Port: port})
-
 	log.Printf("cricket server (prog %#x vers %d) listening on %s", cricket.RpcCdProg, cricket.RpcCdVers, l.Addr())
 
 	// Self-register with the fleet registry and keep the lease renewed

@@ -8,8 +8,8 @@
 //
 // See README.md for the architecture overview, DESIGN.md for the
 // system inventory, and EXPERIMENTS.md for the paper-vs-measured
-// results. The root-level bench_test.go regenerates every table and
-// figure of the paper's evaluation:
+// results. cmd/benchharness regenerates every table and figure of the
+// paper's evaluation:
 //
-//	go test -bench=. -benchmem .
+//	go run ./cmd/benchharness -all -ci
 package repro

@@ -28,8 +28,8 @@ import (
 //
 // Headline numbers: p99 TTFT and p99 inter-token latency for the
 // latency class, shed rate, parks, and cold starts — plus per-phase
-// latency windows cut from the engines' lifetime histograms with
-// obs.Windowed-style snapshot subtraction.
+// latency windows cut from the engines' lifetime histograms by
+// snapshot subtraction (obs.HistSnapshot.Sub).
 
 // usersPerRequest is the deterministic downscale factor: each trace
 // request stands for this many simulated users, so the default

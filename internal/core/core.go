@@ -529,16 +529,6 @@ func (m *Module) Function(name string) (cuda.Function, error) {
 	return f, nil
 }
 
-// Global resolves a module global variable.
-func (m *Module) Global(name string) (gpu.Ptr, uint64, error) {
-	m.vg.mu.Lock()
-	defer m.vg.mu.Unlock()
-	if err := m.vg.checkOpen(); err != nil {
-		return 0, 0, err
-	}
-	return m.vg.api.ModuleGetGlobal(m.handle, name)
-}
-
 // Launch launches a kernel function.
 func (v *VirtualGPU) Launch(f cuda.Function, grid, block gpu.Dim3, sharedMem uint32, args []byte) error {
 	v.mu.Lock()

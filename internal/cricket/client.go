@@ -71,13 +71,10 @@ type Options struct {
 	// forgiving: the client falls back and Transfer() reports the
 	// effective method.
 	RequireTransfer bool
-	// Timeout bounds each RPC round trip; zero means none.
-	Timeout time.Duration
 	// CallTimeout bounds each control-plane call (everything except
-	// bulk data movement) with a per-call deadline; zero means no
-	// per-call bound. Unlike Timeout it is enforced by a context
-	// deadline, so a Session can distinguish a slow call from a dead
-	// transport.
+	// bulk data movement) with a per-call context deadline, so a
+	// Session can distinguish a slow call from a dead transport; zero
+	// means no bound.
 	CallTimeout time.Duration
 	// BulkTimeout is CallTimeout for bulk calls (memcpy, module load),
 	// which legitimately take longer than control traffic.
@@ -168,9 +165,6 @@ func Connect(conn io.ReadWriteCloser, opts Options) (*Client, error) {
 	}
 	cc := netsim.NewCountingConn(conn)
 	rpc := oncrpc.NewClient(cc, RpcCdProg, RpcCdVers)
-	if opts.Timeout > 0 {
-		rpc.SetTimeout(opts.Timeout)
-	}
 	c := &Client{
 		gen:         NewRpcCdVersClient(rpc),
 		rpc:         rpc,
@@ -296,8 +290,8 @@ func (c *Client) SimNow() time.Duration {
 
 // ctxFor returns the context bounding one call: BulkTimeout for bulk
 // data movement, CallTimeout for everything else. With no configured
-// bound it returns the background context and the client-wide Timeout
-// (if any) still applies inside oncrpc.
+// bound it returns the background context and the call waits for as
+// long as the connection lives.
 func (c *Client) ctxFor(bulk bool) (context.Context, context.CancelFunc) {
 	d := c.callTimeout
 	if bulk {
@@ -778,14 +772,6 @@ func (c *Client) Attach(nonce uint64) (LeaseInfo, error) {
 		return LeaseInfo{}, err
 	}
 	return r.Info, nil
-}
-
-// Renew sends the explicit lease heartbeat (SRV_RENEW), keeping the
-// lease alive across idle stretches with no other traffic.
-func (c *Client) Renew() error {
-	var code int32
-	err := c.account(false, 1, func(ctx context.Context) (e error) { code, e = c.gen.SrvRenewContext(ctx); return })
-	return inband(code, err)
 }
 
 // Detach releases the client's lease and every server-side resource it

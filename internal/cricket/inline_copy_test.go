@@ -59,42 +59,52 @@ func liveHeap() uint64 {
 // TestForgedOpaqueLengthIsGarbageArgs: a CUDA_MEMCPY_HTOD call whose
 // payload is nothing but the four bytes 40 00 00 00 — "a gibibyte
 // follows" — is answered GARBAGE_ARGS by the shared server without the
-// gibibyte being allocated first.
+// gibibyte being allocated first; so is a BATCH_EXEC call that is
+// nothing but a count of 1<<24 - 1 entries.
 func TestForgedOpaqueLengthIsGarbageArgs(t *testing.T) {
-	e := newSessEnv(t, "")
-	conn, err := e.redial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var call bytes.Buffer
-	enc := xdr.NewEncoder(&call)
-	hdr := oncrpc.CallHeader{XID: 7, Prog: RpcCdProg, Vers: RpcCdVers, Proc: ProcCudaMemcpyHtod}
-	if err := hdr.MarshalXDR(enc); err != nil {
-		t.Fatal(err)
-	}
-	enc.PutUint64(0x7f00000000)
-	call.Write([]byte{0x40, 0, 0, 0})
+	for _, tc := range []struct {
+		name string
+		proc uint32
+		args []byte
+	}{
+		{"opaque length", ProcCudaMemcpyHtod, []byte{0, 0, 0, 0x7f, 0, 0, 0, 0, 0x40, 0, 0, 0}},
+		{"batch entry count", ProcBatchExec, []byte{0x00, 0xff, 0xff, 0xff}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newSessEnv(t, "")
+			conn, err := e.redial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var call bytes.Buffer
+			hdr := oncrpc.CallHeader{XID: 7, Prog: RpcCdProg, Vers: RpcCdVers, Proc: tc.proc}
+			if err := hdr.MarshalXDR(xdr.NewEncoder(&call)); err != nil {
+				t.Fatal(err)
+			}
+			call.Write(tc.args)
 
-	rw, rr := oncrpc.NewRecordWriter(conn), oncrpc.NewRecordReader(conn)
-	before := totalAlloc()
-	if err := rw.WriteRecord(call.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := rr.ReadRecord()
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocated := totalAlloc() - before
-	var reply oncrpc.ReplyHeader
-	if err := xdr.Unmarshal(rec, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.XID != 7 || reply.Stat != oncrpc.MsgAccepted || reply.AccStat != oncrpc.GarbageArgs {
-		t.Fatalf("reply %+v, want GARBAGE_ARGS", reply)
-	}
-	if allocated >= 64<<10 {
-		t.Fatalf("%d bytes allocated to refuse a 4-byte forged length", allocated)
+			rw, rr := oncrpc.NewRecordWriter(conn), oncrpc.NewRecordReader(conn)
+			before := totalAlloc()
+			if err := rw.WriteRecord(call.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			rec, err := rr.ReadRecord()
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocated := totalAlloc() - before
+			var reply oncrpc.ReplyHeader
+			if err := xdr.Unmarshal(rec, &reply); err != nil {
+				t.Fatal(err)
+			}
+			if reply.XID != 7 || reply.Stat != oncrpc.MsgAccepted || reply.AccStat != oncrpc.GarbageArgs {
+				t.Fatalf("reply %+v, want GARBAGE_ARGS", reply)
+			}
+			if allocated >= 64<<10 {
+				t.Fatalf("%d bytes allocated to refuse a 4-byte forged length", allocated)
+			}
+		})
 	}
 }
 

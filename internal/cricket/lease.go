@@ -182,16 +182,13 @@ func shedReply(proc uint32, dec *xdr.Decoder, enc *xdr.Encoder) error {
 	case ProcRpcNull:
 		return nil
 	case ProcBatchExec:
-		n, err := dec.Uint32()
+		// The count is held to what the record can hold, as in the
+		// generated decoder, so a forged one cannot buy an oversized reply.
+		n, err := dec.ArrayLen(4)
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: batch entry count: %v", oncrpc.ErrGarbageArgs, err)
 		}
-		// The bound the generated decoder puts on any variable-length
-		// array, so a forged count cannot buy an oversized reply.
-		if n > 1<<24 {
-			return fmt.Errorf("%w: %d batch entries", oncrpc.ErrGarbageArgs, n)
-		}
-		enc.PutUint32(n) // the encoder's error is sticky
+		enc.PutUint32(uint32(n)) // the encoder's error is sticky
 		for ; n > 0; n-- {
 			enc.PutInt32(overloadCode)
 		}

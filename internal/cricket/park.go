@@ -64,20 +64,3 @@ func (s *Server) Park() error {
 	s.mu.Unlock()
 	return nil
 }
-
-// Wake resumes admitting calls after a Park. Idempotent.
-func (s *Server) Wake() {
-	s.mu.Lock()
-	if s.parked {
-		s.parked = false
-		s.stats.Wakes++
-	}
-	s.mu.Unlock()
-}
-
-// IsParked reports whether the server is currently parked.
-func (s *Server) IsParked() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parked
-}

@@ -105,7 +105,6 @@ type ServerStats struct {
 
 	// Scale-to-zero (see park.go).
 	Parks uint64 // final-checkpoint parks taken
-	Wakes uint64 // resumes from parked
 }
 
 // A Server executes forwarded CUDA calls against a runtime. With the

@@ -607,18 +607,6 @@ func (s *Session) Close() error {
 	return err
 }
 
-// Renew sends an explicit lease heartbeat (SRV_RENEW), keeping the
-// session's server-side resources alive across idle stretches longer
-// than the lease TTL. Ordinary calls renew implicitly.
-func (s *Session) Renew() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.flushBatchLocked(); err != nil {
-		return err
-	}
-	return s.do(func(c *Client) error { return c.Renew() })
-}
-
 // backoff returns the jittered delay before reconnect attempt i
 // (0-based): base*2^i capped at max, scaled into [50%, 100%].
 func (s *Session) backoff(i int) time.Duration {
@@ -1893,11 +1881,4 @@ func (s *Session) Restore() error {
 		s.markAllDirtyLocked()
 	}
 	return err
-}
-
-// Reconnects reports how many times the session has reconnected.
-func (s *Session) Reconnects() uint64 {
-	s.statmu.Lock()
-	defer s.statmu.Unlock()
-	return s.sstats.Reconnects
 }

@@ -126,19 +126,6 @@ var builtinKernels = map[string]gpu.Kernel{
 	},
 }
 
-// RegisterBuiltin installs a named built-in kernel on a raw device,
-// for tests that bypass module loading.
-func RegisterBuiltin(d *gpu.Device, name string) error {
-	k, ok := builtinKernels[name]
-	if !ok {
-		return fmt.Errorf("cuda: no builtin kernel %q", name)
-	}
-	if !d.HasKernel(name) {
-		d.RegisterKernel(name, k)
-	}
-	return nil
-}
-
 // vectorAdd: c[i] = a[i] + b[i].
 // Params: (const float *A, const float *B, float *C, int n).
 func vectorAddKernel(mem *gpu.Mem, cfg gpu.LaunchConfig, args *gpu.Args) error {
@@ -784,12 +771,6 @@ func (a *ArgBuffer) I32(v int32) *ArgBuffer { return a.u32(uint32(v)) }
 
 // U32 appends a 32-bit scalar at the next 4-byte boundary.
 func (a *ArgBuffer) U32(v uint32) *ArgBuffer { return a.u32(v) }
-
-// F32 appends a float32 at the next 4-byte boundary.
-func (a *ArgBuffer) F32(v float32) *ArgBuffer { return a.u32(math.Float32bits(v)) }
-
-// F64 appends a float64 at the next 8-byte boundary.
-func (a *ArgBuffer) F64(v float64) *ArgBuffer { return a.u64(math.Float64bits(v)) }
 
 func (a *ArgBuffer) align(n int) {
 	for len(a.buf)%n != 0 {

@@ -11,17 +11,6 @@ import (
 	"cricket/internal/netsim"
 )
 
-// MemcpyKind selects the direction of a memory copy, matching
-// cudaMemcpyKind.
-type MemcpyKind uint32
-
-// Memcpy directions.
-const (
-	MemcpyHostToDevice   MemcpyKind = 1
-	MemcpyDeviceToHost   MemcpyKind = 2
-	MemcpyDeviceToDevice MemcpyKind = 3
-)
-
 // DeviceProp mirrors the subset of cudaDeviceProp that the proxy
 // applications consult.
 type DeviceProp struct {

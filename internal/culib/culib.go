@@ -1,6 +1,6 @@
 // Package culib provides cuBLAS/cuSolver-style convenience wrappers
 // over the Cricket virtualization layer: typed dense linear algebra
-// entry points (GEMM, reductions, LU factorization and solve) that
+// entry points (GEMM, LU factorization and solve) that
 // manage device buffers, kernel-argument marshaling, and launch
 // geometry so applications do not have to.
 //
@@ -38,11 +38,9 @@ type Handle struct {
 	vg  *core.VirtualGPU
 	mod *core.Module
 
-	gemm   cuda.Function
-	reduce cuda.Function
-	getrf  cuda.Function
-	getrs  cuda.Function
-	copyFn cuda.Function
+	gemm  cuda.Function
+	getrf cuda.Function
+	getrs cuda.Function
 
 	destroyed bool
 }
@@ -61,10 +59,8 @@ func Create(vg *core.VirtualGPU) (*Handle, error) {
 		name string
 	}{
 		{&h.gemm, cuda.KernelMatrixMul},
-		{&h.reduce, cuda.KernelReduceSum},
 		{&h.getrf, cuda.KernelLUDecompose},
 		{&h.getrs, cuda.KernelLUSolve},
-		{&h.copyFn, cuda.KernelCopy},
 	} {
 		f, err := mod.Function(bind.name)
 		if err != nil {
@@ -155,44 +151,6 @@ func (h *Handle) Sgemm(c, a, b *Matrix) error {
 	grid := gpu.Dim3{X: uint32(n / 32), Y: uint32(m / 32), Z: 1}
 	block := gpu.Dim3{X: 32, Y: 32, Z: 1}
 	return h.vg.Launch(h.gemm, grid, block, 0, args)
-}
-
-// Sasum returns the sum of a device float32 vector (cublasSasum over
-// non-negative data; the sample kernel sums without absolute value).
-func (h *Handle) Sasum(x *core.Buffer, n int) (float32, error) {
-	if err := h.check(); err != nil {
-		return 0, err
-	}
-	if n <= 0 || uint64(n)*4 > x.Size() {
-		return 0, fmt.Errorf("%w: n=%d for %d-byte buffer", ErrDim, n, x.Size())
-	}
-	out, err := h.vg.Alloc(4)
-	if err != nil {
-		return 0, err
-	}
-	defer out.Free()
-	args := cuda.NewArgBuffer().Ptr(out.Ptr()).Ptr(x.Ptr()).U32(uint32(n)).Bytes()
-	if err := h.vg.Launch(h.reduce, gpu.Dim3{X: 1, Y: 1, Z: 1}, gpu.Dim3{X: 256, Y: 1, Z: 1}, 0, args); err != nil {
-		return 0, err
-	}
-	b, err := out.Read()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(b)), nil
-}
-
-// Scopy copies n float32 elements between device buffers (cublasScopy).
-func (h *Handle) Scopy(dst, src *core.Buffer, n int) error {
-	if err := h.check(); err != nil {
-		return err
-	}
-	bytes := uint64(n) * 4
-	if n <= 0 || bytes > dst.Size() || bytes > src.Size() {
-		return fmt.Errorf("%w: n=%d", ErrDim, n)
-	}
-	args := cuda.NewArgBuffer().Ptr(dst.Ptr()).Ptr(src.Ptr()).U64(bytes).Bytes()
-	return h.vg.Launch(h.copyFn, gpu.Dim3{X: 1, Y: 1, Z: 1}, gpu.Dim3{X: 256, Y: 1, Z: 1}, 0, args)
 }
 
 // LUFactors holds the output of DnDgetrf: the packed LU factors and

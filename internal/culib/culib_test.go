@@ -99,50 +99,6 @@ func TestSgemmDimChecks(t *testing.T) {
 	}
 }
 
-func TestSasumAndScopy(t *testing.T) {
-	h, vg := newHandle(t)
-	const n = 500
-	x, err := vg.Alloc(n * 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]float32, n)
-	var want float32
-	for i := range vals {
-		vals[i] = float32(i%7) * 0.25
-		want += vals[i]
-	}
-	if err := x.Write(f32le(vals)); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := h.Sasum(x, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(sum-want)) > 1e-3 {
-		t.Fatalf("sum = %g, want %g", sum, want)
-	}
-	// Copy then re-sum.
-	y, err := vg.Alloc(n * 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Scopy(y, x, n); err != nil {
-		t.Fatal(err)
-	}
-	sum2, err := h.Sasum(y, n)
-	if err != nil || sum2 != sum {
-		t.Fatalf("copied sum = %g err=%v", sum2, err)
-	}
-	// Bounds.
-	if _, err := h.Sasum(x, n+1); !errors.Is(err, ErrDim) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := h.Scopy(y, x, n+1); !errors.Is(err, ErrDim) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestSolveKnownSystem(t *testing.T) {
 	h, _ := newHandle(t)
 	// 2x + y = 5; x + 3y = 10 → x = 1, y = 3.

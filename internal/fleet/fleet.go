@@ -700,9 +700,6 @@ type Session struct {
 	once sync.Once
 }
 
-// Key returns the placement key the session was opened with.
-func (s *Session) Key() string { return s.key }
-
 // Close shuts the session down (flushing, detaching the lease — see
 // cricket.Session.Close) and releases its placement.
 func (s *Session) Close() error {

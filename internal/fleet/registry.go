@@ -23,15 +23,17 @@ import (
 // member that was merely partitioned from the registry re-registers
 // when the partition heals and resumes exactly where HRW puts it.
 
+// maxTTL is the longest lease the registry grants.
+const maxTTL = time.Minute
+
 // RegistryOptions tune a Registry. The zero value is usable: 5s
 // default TTL clamped to [500ms, 60s].
 type RegistryOptions struct {
 	// DefaultTTL is granted when a member requests TTL 0 (default 5s).
 	DefaultTTL time.Duration
-	// MinTTL/MaxTTL clamp requested TTLs (defaults 500ms / 60s; MinTTL
-	// can be lowered for tests).
+	// MinTTL is the floor requested TTLs are clamped to (default
+	// 500ms; can be lowered for tests). The ceiling is maxTTL.
 	MinTTL time.Duration
-	MaxTTL time.Duration
 	// Dial curries a member's advertised address into the pool
 	// member's dial function. Required for admission.
 	Dial func(name, addr string) (io.ReadWriteCloser, error)
@@ -100,9 +102,6 @@ func NewRegistry(pool *Pool, opts RegistryOptions) *Registry {
 	}
 	if opts.MinTTL <= 0 {
 		opts.MinTTL = 500 * time.Millisecond
-	}
-	if opts.MaxTTL <= 0 {
-		opts.MaxTTL = time.Minute
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -323,8 +322,8 @@ func (r *Registry) clampTTL(ttl time.Duration) time.Duration {
 	if ttl < r.opts.MinTTL {
 		ttl = r.opts.MinTTL
 	}
-	if ttl > r.opts.MaxTTL {
-		ttl = r.opts.MaxTTL
+	if ttl > maxTTL {
+		ttl = maxTTL
 	}
 	return ttl
 }

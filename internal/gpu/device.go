@@ -247,63 +247,6 @@ func (m *Mem) Bytes(p Ptr, n uint64) ([]byte, error) {
 	return m.m.region(p, n)
 }
 
-// LoadF32 reads a float32 from device memory.
-func (m *Mem) LoadF32(p Ptr) (float32, error) {
-	b, err := m.m.region(p, 4)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(b)), nil
-}
-
-// StoreF32 writes a float32 to device memory.
-func (m *Mem) StoreF32(p Ptr, v float32) error {
-	b, err := m.m.region(p, 4)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(b, math.Float32bits(v))
-	return nil
-}
-
-// LoadF64 reads a float64 from device memory.
-func (m *Mem) LoadF64(p Ptr) (float64, error) {
-	b, err := m.m.region(p, 8)
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-}
-
-// StoreF64 writes a float64 to device memory.
-func (m *Mem) StoreF64(p Ptr, v float64) error {
-	b, err := m.m.region(p, 8)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
-	return nil
-}
-
-// LoadU32 reads a uint32 from device memory.
-func (m *Mem) LoadU32(p Ptr) (uint32, error) {
-	b, err := m.m.region(p, 4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-// StoreU32 writes a uint32 to device memory.
-func (m *Mem) StoreU32(p Ptr, v uint32) error {
-	b, err := m.m.region(p, 4)
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(b, v)
-	return nil
-}
-
 // An ArgSlot describes one kernel parameter's place in the argument
 // buffer, mirroring the cubin parameter metadata.
 type ArgSlot struct {
@@ -374,18 +317,6 @@ func (a *Args) U64(i int) (uint64, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b), nil
-}
-
-// F32 returns parameter i as a float32 scalar.
-func (a *Args) F32(i int) (float32, error) {
-	v, err := a.U32(i)
-	return math.Float32frombits(v), err
-}
-
-// F64 returns parameter i as a float64 scalar.
-func (a *Args) F64(i int) (float64, error) {
-	v, err := a.U64(i)
-	return math.Float64frombits(v), err
 }
 
 // Launch executes a registered kernel. The argument buffer is decoded

@@ -213,10 +213,11 @@ func saxpyKernel(mem *Mem, cfg LaunchConfig, args *Args) error {
 	if err != nil {
 		return err
 	}
-	a, err := args.F32(2)
+	aBits, err := args.U32(2)
 	if err != nil {
 		return err
 	}
+	a := math.Float32frombits(aBits)
 	n, err := args.U32(3)
 	if err != nil {
 		return err

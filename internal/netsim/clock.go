@@ -48,10 +48,3 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	c.now += d
 	return c.now
 }
-
-// Reset rewinds the clock to zero (between benchmark runs).
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = 0
-}

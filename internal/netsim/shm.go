@@ -71,9 +71,6 @@ func NewShmRing(slots, slotSize int) *ShmRing {
 // SlotSize returns the payload capacity of one slot.
 func (r *ShmRing) SlotSize() int { return r.slotSize }
 
-// Slots returns the ring depth.
-func (r *ShmRing) Slots() int { return int(r.slots) }
-
 // Closed reports whether the ring has been torn down.
 func (r *ShmRing) Closed() bool {
 	select {

@@ -190,14 +190,6 @@ func (c *Collector) ServerMerged() HistSnapshot {
 	return c.server.Merged()
 }
 
-// ClientMerged is ServerMerged for the client-side histograms.
-func (c *Collector) ClientMerged() HistSnapshot {
-	if c == nil {
-		return HistSnapshot{}
-	}
-	return c.client.Merged()
-}
-
 // RecordSpan appends a span to the trace ring.
 func (c *Collector) RecordSpan(s Span) {
 	if c == nil {

@@ -2,38 +2,6 @@ package obs
 
 import "time"
 
-// A Windowed pairs a histogram with the snapshot taken at the last
-// tick, so interval-based consumers (SLO monitors, the diurnal
-// macro-bench phases) read per-window deltas instead of lifetime
-// aggregates. Not safe for concurrent Tick calls; Observe on the
-// underlying histogram stays lock-free.
-type Windowed struct {
-	H    *Histogram
-	prev HistSnapshot
-}
-
-// NewWindowed wraps h with an empty baseline, so the first Tick
-// returns everything observed so far.
-func NewWindowed(h *Histogram) *Windowed { return &Windowed{H: h} }
-
-// Tick returns the delta since the previous Tick (or since creation)
-// and advances the window.
-func (w *Windowed) Tick() HistSnapshot {
-	cur := w.H.Snapshot()
-	d := cur.Sub(w.prev)
-	w.prev = cur
-	return d
-}
-
-// Peek returns the delta since the previous Tick without advancing
-// the window.
-func (w *Windowed) Peek() HistSnapshot {
-	return w.H.Snapshot().Sub(w.prev)
-}
-
-// Lifetime returns the full-history snapshot.
-func (w *Windowed) Lifetime() HistSnapshot { return w.H.Snapshot() }
-
 // An SLO is a quantile budget over a latency distribution: "the q
 // quantile must stay at or under Budget".
 type SLO struct {

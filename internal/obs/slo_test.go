@@ -6,13 +6,26 @@ import (
 	"time"
 )
 
+// windowTicker returns h's per-window deltas: each call is the snapshot
+// now minus the snapshot at the previous call, which is how interval
+// consumers (the diurnal macro-bench phases) cut windows.
+func windowTicker(h *Histogram) (tick func() HistSnapshot) {
+	var prev HistSnapshot
+	return func() HistSnapshot {
+		cur := h.Snapshot()
+		d := cur.Sub(prev)
+		prev = cur
+		return d
+	}
+}
+
 func TestWindowedTickDeltas(t *testing.T) {
 	h := &Histogram{}
-	w := NewWindowed(h)
+	tick := windowTicker(h)
 
 	// Empty window: Sub of identical snapshots must be the zero
 	// snapshot, and an SLO trivially holds over it.
-	d := w.Tick()
+	d := tick()
 	if d.Count != 0 || d.Sum != 0 || d.Min != 0 || d.Max != 0 {
 		t.Fatalf("empty window not zero: %+v", d)
 	}
@@ -23,24 +36,21 @@ func TestWindowedTickDeltas(t *testing.T) {
 
 	h.Observe(100 * time.Microsecond)
 	h.Observe(200 * time.Microsecond)
-	if p := w.Peek(); p.Count != 2 {
-		t.Fatalf("peek count = %d, want 2", p.Count)
-	}
-	d = w.Tick()
+	d = tick()
 	if d.Count != 2 {
 		t.Fatalf("window count = %d, want 2", d.Count)
 	}
 	// Next window sees only new observations.
 	h.Observe(time.Second)
-	d = w.Tick()
+	d = tick()
 	if d.Count != 1 {
 		t.Fatalf("second window count = %d, want 1", d.Count)
 	}
 	if q := d.Quantile(0.5); q != time.Second {
 		t.Fatalf("second window p50 = %v, want 1s (old observations leaked in)", q)
 	}
-	if w.Lifetime().Count != 3 {
-		t.Fatalf("lifetime count = %d, want 3", w.Lifetime().Count)
+	if n := h.Snapshot().Count; n != 3 {
+		t.Fatalf("lifetime count = %d, want 3", n)
 	}
 }
 
@@ -49,12 +59,12 @@ func TestWindowedTickDeltas(t *testing.T) {
 // window's approximated [Min, Max].
 func TestWindowSingleBucket(t *testing.T) {
 	h := &Histogram{}
-	w := NewWindowed(h)
-	w.Tick()
+	tick := windowTicker(h)
+	tick()
 	for i := 0; i < 10; i++ {
 		h.Observe(betweenPow2(10)) // all in bucket [1024ns, 2048ns)
 	}
-	d := w.Tick()
+	d := tick()
 	if d.Count != 10 {
 		t.Fatalf("count = %d", d.Count)
 	}
@@ -80,7 +90,7 @@ func betweenPow2(exp uint) time.Duration {
 // lifetime counts, sums, and buckets exactly.
 func TestWindowMergeAfterSubIdentity(t *testing.T) {
 	h := &Histogram{}
-	w := NewWindowed(h)
+	tick := windowTicker(h)
 	rng := rand.New(rand.NewSource(42))
 
 	// A bursty diurnal shape: quiet windows (often empty), a ramp,
@@ -101,7 +111,7 @@ func TestWindowMergeAfterSubIdentity(t *testing.T) {
 			for i := 0; i < ph.perTick; i++ {
 				h.Observe(time.Duration(1 + rng.Int63n(1+ph.spread)))
 			}
-			windows = append(windows, w.Tick())
+			windows = append(windows, tick())
 		}
 	}
 

@@ -14,15 +14,6 @@ import (
 	"cricket/internal/xdr"
 )
 
-// XIDMismatchError reports a reply whose transaction id does not
-// match the call — on datagram transports this is a stale reply and
-// is simply ignored.
-type XIDMismatchError struct{ Got, Want uint32 }
-
-func (e *XIDMismatchError) Error() string {
-	return fmt.Sprintf("oncrpc: reply xid %d, want %d", e.Got, e.Want)
-}
-
 // Client errors.
 var (
 	// ErrClientClosed reports a call on a closed client.
@@ -52,8 +43,6 @@ func IsTransportError(err error) bool {
 type Client struct {
 	prog, vers uint32
 	conn       io.ReadWriteCloser
-	cred       OpaqueAuth
-	timeout    atomic.Int64 // nanoseconds; 0 means no timeout
 	xid        atomic.Uint32
 
 	trace atomic.Pointer[ClientTrace]
@@ -84,8 +73,7 @@ type Client struct {
 }
 
 // NewClient returns a Client for program prog, version vers, speaking
-// over conn. The client owns conn and closes it on Close. Credentials
-// default to AUTH_NONE.
+// over conn. The client owns conn and closes it on Close.
 func NewClient(conn io.ReadWriteCloser, prog, vers uint32) *Client {
 	c := &Client{
 		prog:    prog,
@@ -112,27 +100,11 @@ func Dial(network, addr string, prog, vers uint32) (*Client, error) {
 	return NewClient(conn, prog, vers), nil
 }
 
-// SetCred sets the credential sent with subsequent calls.
-func (c *Client) SetCred(cred OpaqueAuth) {
-	c.wmu.Lock()
-	c.cred = cred
-	c.wmu.Unlock()
-}
-
 // SetTrace installs tr as the hook set for subsequent calls; nil
 // disables tracing. While tracing is enabled the call credential is
-// replaced by AUTH_TRACE (see ClientTrace).
+// AUTH_TRACE (see ClientTrace) instead of AUTH_NONE.
 func (c *Client) SetTrace(tr *ClientTrace) {
 	c.trace.Store(tr)
-}
-
-// SetTimeout bounds the round-trip time of subsequent calls; zero
-// disables the bound.
-func (c *Client) SetTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	c.timeout.Store(int64(d))
 }
 
 // SetFragmentSize configures record fragmentation for outgoing calls.
@@ -225,17 +197,16 @@ func (c *Client) failAll(err error) {
 // Call invokes proc with the given arguments and decodes the results
 // into reply. Either may be nil for void argument/result types. Call
 // returns an *AcceptError or *DeniedError for protocol-level failures
-// and an error wrapping ErrTransport if the connection breaks. The
-// round trip is bounded by the client-wide SetTimeout, if any.
+// and an error wrapping ErrTransport if the connection breaks. It waits
+// for the reply without bound; CallContext takes a deadline.
 func (c *Client) Call(proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
 	return c.CallContext(context.Background(), proc, args, reply)
 }
 
 // CallContext is Call with a per-call bound: the call fails once ctx
-// is cancelled or its deadline passes, without waiting for the
-// client-wide timeout and without poisoning the connection — the late
-// reply, if any, is dropped by xid. A ctx deadline takes precedence
-// over the SetTimeout value; with neither, the call waits forever.
+// is cancelled or its deadline passes, without poisoning the
+// connection — the late reply, if any, is dropped by xid. Without a
+// deadline the call waits for as long as the connection lives.
 // Deadline expiry returns an error wrapping both ErrTimeout and
 // context.DeadlineExceeded; cancellation returns ctx.Err().
 func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
@@ -276,17 +247,6 @@ func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshale
 		return traceEnd(tr, proc, tid, t0, encDur, err)
 	}
 
-	// The client-wide timeout applies only when the context carries no
-	// deadline of its own.
-	var timeoutCh <-chan time.Time
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		if d := time.Duration(c.timeout.Load()); d > 0 {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			timeoutCh = t.C
-		}
-	}
-
 	select {
 	case rec, ok := <-ch:
 		if !ok {
@@ -299,7 +259,7 @@ func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshale
 		if tr != nil {
 			tw = time.Now()
 		}
-		err := c.decodeReply(rec, xid, reply)
+		err := c.decodeReply(rec, reply)
 		c.giveBack(rec)
 		if tr != nil && tr.End != nil {
 			wire := tw.Sub(t0) - encDur
@@ -312,9 +272,6 @@ func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshale
 	case <-ctx.Done():
 		c.forget(xid, ch)
 		return traceEnd(tr, proc, tid, t0, encDur, abandonErr(ctx.Err()))
-	case <-timeoutCh:
-		c.forget(xid, ch)
-		return traceEnd(tr, proc, tid, t0, encDur, ErrTimeout)
 	case <-c.done:
 		c.mu.Lock()
 		err := c.readErr
@@ -346,8 +303,8 @@ func abandonErr(err error) error {
 	return err
 }
 
-// send assembles and writes one call record. When traced, the call's
-// credential is replaced by AUTH_TRACE carrying tid and the returned
+// send assembles and writes one call record. The credential is
+// AUTH_NONE, or when traced AUTH_TRACE carrying tid, and the returned
 // duration covers header+argument marshalling (the encode stage).
 func (c *Client) send(xid, proc uint32, args xdr.Marshaler, tid uint64, traced bool) (time.Duration, error) {
 	c.wmu.Lock()
@@ -364,7 +321,7 @@ func (c *Client) send(xid, proc uint32, args xdr.Marshaler, tid uint64, traced b
 		c.enc.Reset(&c.wb)
 	}
 	e := c.enc
-	hdr := CallHeader{XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc, Cred: c.cred}
+	hdr := CallHeader{XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc}
 	var t0 time.Time
 	if traced {
 		// The credential scratch is guarded by wmu and MarshalXDR
@@ -394,40 +351,25 @@ func (c *Client) send(xid, proc uint32, args xdr.Marshaler, tid uint64, traced b
 	return encDur, nil
 }
 
-func (c *Client) decodeReply(rec []byte, xid uint32, reply xdr.Unmarshaler) error {
-	verf, err := decodeReplyVerf(rec, xid, reply)
-	if hint, ok := RetryAfterHint(verf); ok {
-		c.retryHint.Store(int64(hint))
-	}
-	return err
-}
-
-// decodeReplyVerf decodes one reply record, returning the reply
-// verifier alongside any error so callers can inspect backpressure
-// hints even on in-band failures.
-func decodeReplyVerf(rec []byte, xid uint32, reply xdr.Unmarshaler) (OpaqueAuth, error) {
+// decodeReply decodes one reply record (the read loop matched its xid
+// to the call). The reply verifier is inspected even on in-band
+// failures, so a backpressure hint riding a shed reply is kept.
+func (c *Client) decodeReply(rec []byte, reply xdr.Unmarshaler) error {
 	d := xdr.NewBytesDecoder(rec)
 	var hdr ReplyHeader
 	if err := hdr.UnmarshalXDR(d); err != nil {
-		return OpaqueAuth{}, err
+		return err
 	}
-	if hdr.XID != xid {
-		return hdr.Verf, &XIDMismatchError{Got: hdr.XID, Want: xid}
+	if hint, ok := RetryAfterHint(hdr.Verf); ok {
+		c.retryHint.Store(int64(hint))
 	}
 	if err := hdr.Err(); err != nil {
-		return hdr.Verf, err
+		return err
 	}
 	if reply != nil {
-		if err := d.Unmarshal(reply); err != nil {
-			return hdr.Verf, err
-		}
+		return d.Unmarshal(reply)
 	}
-	return hdr.Verf, nil
-}
-
-func decodeReply(rec []byte, xid uint32, reply xdr.Unmarshaler) error {
-	_, err := decodeReplyVerf(rec, xid, reply)
-	return err
+	return nil
 }
 
 // TakeRetryHint consumes and returns the most recent AUTH_RETRY

@@ -359,31 +359,6 @@ func TestCallContextCancellation(t *testing.T) {
 	}
 }
 
-func TestCallContextDeadlineOverridesGlobalTimeout(t *testing.T) {
-	srv := NewServer()
-	stall := &stallDispatcher{release: make(chan struct{})}
-	defer close(stall.release)
-	srv.Register(testProg, testVers, stall)
-	cliConn, srvConn := net.Pipe()
-	go srv.ServeConn(srvConn)
-	c := NewClient(cliConn, testProg, testVers)
-	defer c.Close()
-	c.SetTimeout(30 * time.Millisecond)
-
-	// A per-call deadline longer than the global timeout wins: the
-	// call must NOT fail at the 30ms global mark.
-	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := c.CallContext(ctx, procNull, nil, nil)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v", err)
-	}
-	if d := time.Since(start); d < 200*time.Millisecond {
-		t.Fatalf("call failed after %v; global timeout overrode the per-call deadline", d)
-	}
-}
-
 func TestFaultConnScheduleKillsClientDeterministically(t *testing.T) {
 	// The same seeded schedule produces the same failure call index on
 	// two fresh client/server pairs.

@@ -87,8 +87,9 @@ func TestCloseDuringServeLeaksNoConns(t *testing.T) {
 				c := NewClient(conn, testProg, testVers)
 				// The kernel may accept the connection even though the
 				// closed server never serves it, so bound the call.
-				c.SetTimeout(2 * time.Second)
-				c.Call(procNull, nil, nil) // may fail mid-close; that's fine
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				c.CallContext(ctx, procNull, nil, nil) // may fail mid-close; that's fine
+				cancel()
 				c.Close()
 			}()
 		}

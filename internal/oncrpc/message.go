@@ -2,7 +2,6 @@ package oncrpc
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
 
@@ -28,7 +27,6 @@ type AuthFlavor uint32
 // understands. Others are carried opaquely.
 const (
 	AuthNone AuthFlavor = 0
-	AuthSys  AuthFlavor = 1
 	// AuthTrace is a private-use flavor carrying an 8-byte big-endian
 	// trace id in the credential body, joining client and server spans
 	// of one call. RFC 5531 reserves the flavor number space beyond
@@ -145,13 +143,6 @@ func (a *OpaqueAuth) UnmarshalXDR(d *xdr.Decoder) error {
 	return d.FixedOpaque(a.Body)
 }
 
-// NewTraceAuth builds an AUTH_TRACE credential carrying id.
-func NewTraceAuth(id uint64) OpaqueAuth {
-	body := make([]byte, 8)
-	binary.BigEndian.PutUint64(body, id)
-	return OpaqueAuth{Flavor: AuthTrace, Body: body}
-}
-
 // TraceID extracts the trace id from an AUTH_TRACE credential. It
 // returns zero ("untraced") for any other flavor or a malformed body.
 func TraceID(a OpaqueAuth) uint64 {
@@ -180,65 +171,6 @@ func RetryAfterHint(a OpaqueAuth) (time.Duration, bool) {
 		return 0, false
 	}
 	return time.Duration(binary.BigEndian.Uint64(a.Body)), true
-}
-
-// SysCred is the AUTH_SYS credential body (RFC 5531 appendix A).
-type SysCred struct {
-	Stamp       uint32
-	MachineName string
-	UID, GID    uint32
-	GIDs        []uint32
-}
-
-// MarshalXDR encodes the credential body.
-func (c *SysCred) MarshalXDR(e *xdr.Encoder) error {
-	if len(c.MachineName) > 255 {
-		return errors.New("oncrpc: machine name exceeds 255 bytes")
-	}
-	if len(c.GIDs) > 16 {
-		return errors.New("oncrpc: more than 16 auxiliary gids")
-	}
-	e.PutUint32(c.Stamp)
-	e.PutString(c.MachineName)
-	e.PutUint32(c.UID)
-	e.PutUint32(c.GID)
-	return e.PutUint32Slice(c.GIDs)
-}
-
-// UnmarshalXDR decodes the credential body.
-func (c *SysCred) UnmarshalXDR(d *xdr.Decoder) error {
-	var err error
-	if c.Stamp, err = d.Uint32(); err != nil {
-		return err
-	}
-	if c.MachineName, err = d.String(); err != nil {
-		return err
-	}
-	if len(c.MachineName) > 255 {
-		return errors.New("oncrpc: machine name exceeds 255 bytes")
-	}
-	if c.UID, err = d.Uint32(); err != nil {
-		return err
-	}
-	if c.GID, err = d.Uint32(); err != nil {
-		return err
-	}
-	if c.GIDs, err = d.Uint32Slice(); err != nil {
-		return err
-	}
-	if len(c.GIDs) > 16 {
-		return errors.New("oncrpc: more than 16 auxiliary gids")
-	}
-	return nil
-}
-
-// NewSysAuth builds an AUTH_SYS OpaqueAuth from a credential.
-func NewSysAuth(c *SysCred) (OpaqueAuth, error) {
-	body, err := xdr.Marshal(c)
-	if err != nil {
-		return OpaqueAuth{}, err
-	}
-	return OpaqueAuth{Flavor: AuthSys, Body: body}, nil
 }
 
 // CallHeader is the body of an RPC call message up to (and excluding)

@@ -1,38 +1,43 @@
 package oncrpc
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"cricket/internal/xdr"
 )
 
-func TestCallHeaderRoundTrip(t *testing.T) {
-	cred, err := NewSysAuth(&SysCred{Stamp: 7, MachineName: "node-a", UID: 1000, GID: 100, GIDs: []uint32{4, 24}})
-	if err != nil {
-		t.Fatal(err)
+// unmarshalAll decodes v from data, which must hold nothing else.
+func unmarshalAll(t *testing.T, data []byte, v xdr.Unmarshaler) {
+	t.Helper()
+	d := xdr.NewBytesDecoder(data)
+	if err := d.Unmarshal(v); err != nil || d.Len() != int64(len(data)) {
+		t.Fatalf("decoding %T: %v, %d of %d bytes consumed", v, err, d.Len(), len(data))
 	}
+}
+
+func TestCallHeaderRoundTrip(t *testing.T) {
+	// A 7-byte body, so the opaque-auth encoding pads.
+	cred := OpaqueAuth{Flavor: AuthTrace, Body: []byte("trace-7")}
 	in := CallHeader{XID: 0xdeadbeef, Prog: 99449, Vers: 1, Proc: 42, Cred: cred}
 	data, err := xdr.Marshal(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out CallHeader
-	if err := xdr.UnmarshalStrict(data, &out); err != nil {
-		t.Fatal(err)
+	if want := 6*4 + (4 + 4 + 8) + (4 + 4); len(data) != want {
+		t.Fatalf("call header is %d bytes, want %d", len(data), want)
 	}
+	var out CallHeader
+	unmarshalAll(t, data, &out)
 	if out.XID != in.XID || out.Prog != in.Prog || out.Vers != in.Vers || out.Proc != in.Proc {
 		t.Fatalf("got %+v", out)
 	}
-	if out.Cred.Flavor != AuthSys {
-		t.Fatalf("cred flavor %d", out.Cred.Flavor)
+	if out.Cred.Flavor != AuthTrace || !bytes.Equal(out.Cred.Body, cred.Body) {
+		t.Fatalf("cred %+v, want %+v", out.Cred, cred)
 	}
-	var sc SysCred
-	if err := xdr.UnmarshalStrict(out.Cred.Body, &sc); err != nil {
-		t.Fatal(err)
-	}
-	if sc.MachineName != "node-a" || sc.UID != 1000 || len(sc.GIDs) != 2 {
-		t.Fatalf("syscred %+v", sc)
+	if out.Verf.Flavor != AuthNone || len(out.Verf.Body) != 0 {
+		t.Fatalf("verf %+v, want AUTH_NONE", out.Verf)
 	}
 }
 
@@ -81,9 +86,7 @@ func TestReplyHeaderRoundTripVariants(t *testing.T) {
 			t.Fatalf("%+v: %v", in, err)
 		}
 		var out ReplyHeader
-		if err := xdr.UnmarshalStrict(data, &out); err != nil {
-			t.Fatalf("%+v: %v", in, err)
-		}
+		unmarshalAll(t, data, &out)
 		if out.XID != in.XID || out.Stat != in.Stat || out.AccStat != in.AccStat ||
 			out.RejStat != in.RejStat || out.AuthStat != in.AuthStat || out.Mismatch != in.Mismatch {
 			t.Fatalf("got %+v, want %+v", out, in)
@@ -124,21 +127,6 @@ func TestAuthBodyLimit(t *testing.T) {
 	var out OpaqueAuth
 	if err := xdr.Unmarshal(data, &out); err == nil {
 		t.Fatal("oversized auth body must fail to decode")
-	}
-}
-
-func TestSysCredLimits(t *testing.T) {
-	long := make([]byte, 256)
-	for i := range long {
-		long[i] = 'a'
-	}
-	c := SysCred{MachineName: string(long)}
-	if _, err := xdr.Marshal(&c); err == nil {
-		t.Fatal("256-byte machine name must fail")
-	}
-	c = SysCred{MachineName: "ok", GIDs: make([]uint32, 17)}
-	if _, err := xdr.Marshal(&c); err == nil {
-		t.Fatal("17 gids must fail")
 	}
 }
 

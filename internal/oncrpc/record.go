@@ -12,7 +12,7 @@
 //
 //   - RecordReader / RecordWriter: RFC 5531 §11 record marking over any
 //     byte stream, with configurable fragment size and record limits.
-//   - Call / Reply message headers with AUTH_NONE and AUTH_SYS.
+//   - Call / Reply message headers with opaque auth (AUTH_NONE).
 //   - Client: a concurrent, transaction-multiplexing RPC client.
 //   - Server: a multi-program, multi-version RPC server.
 package oncrpc

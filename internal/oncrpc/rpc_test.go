@@ -2,6 +2,7 @@ package oncrpc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -252,9 +253,10 @@ func TestCallTimeout(t *testing.T) {
 	}()
 	c := NewClient(cliConn, testProg, testVers)
 	defer c.Close()
-	c.SetTimeout(30 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	err := c.Call(procNull, nil, nil)
+	err := c.CallContext(ctx, procNull, nil, nil)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -364,9 +366,7 @@ func TestRPCMismatchDenied(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hdr ReplyHeader
-	if err := xdr.UnmarshalStrict(out, &hdr); err != nil {
-		t.Fatal(err)
-	}
+	unmarshalAll(t, out, &hdr)
 	if hdr.Stat != MsgDenied || hdr.RejStat != RPCMismatch {
 		t.Fatalf("reply %+v", hdr)
 	}
@@ -394,9 +394,7 @@ func TestFailingHandlerDoesNotLeakPartialResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply ReplyHeader
-	if err := xdr.UnmarshalStrict(out, &reply); err != nil {
-		t.Fatal(err)
-	}
+	unmarshalAll(t, out, &reply)
 	if reply.AccStat != SystemErr {
 		t.Fatalf("accept stat %v", reply.AccStat)
 	}

@@ -226,15 +226,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on the TCP address addr and serves RPC calls.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // ServeConn serves RPC calls on a single already-established transport
 // until it is closed. It returns io.EOF on orderly shutdown by the
 // peer and ErrServerClosed when Close or Shutdown ended the
@@ -509,7 +500,6 @@ func isDecodeError(err error) bool {
 	return errors.Is(err, xdr.ErrTooLong) ||
 		errors.Is(err, xdr.ErrBadBool) ||
 		errors.Is(err, xdr.ErrBadPadding) ||
-		errors.Is(err, xdr.ErrBadOptional) ||
 		errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, io.EOF) // argument stream exhausted mid-decode
 }

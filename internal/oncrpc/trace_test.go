@@ -1,6 +1,8 @@
 package oncrpc
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -30,10 +32,7 @@ func tracedPair(t *testing.T) (*Client, *Server) {
 }
 
 func TestTraceAuthRoundTrip(t *testing.T) {
-	a := NewTraceAuth(0xDEADBEEFCAFE)
-	if a.Flavor != AuthTrace || len(a.Body) != 8 {
-		t.Fatalf("auth = %+v", a)
-	}
+	a := OpaqueAuth{Flavor: AuthTrace, Body: binary.BigEndian.AppendUint64(nil, 0xDEADBEEFCAFE)}
 	if id := TraceID(a); id != 0xDEADBEEFCAFE {
 		t.Fatalf("TraceID = %#x", id)
 	}
@@ -214,7 +213,8 @@ func TestClientTraceEndFiresOnTimeout(t *testing.T) {
 	}()
 	c := NewClient(cliConn, testProg, testVers)
 	defer c.Close()
-	c.SetTimeout(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	ch := make(chan clientEnd, 1)
 	c.SetTrace(&ClientTrace{
 		Begin: func(uint32) uint64 { return 5 },
@@ -222,7 +222,7 @@ func TestClientTraceEndFiresOnTimeout(t *testing.T) {
 			ch <- clientEnd{proc, id, stages, err}
 		},
 	})
-	err := c.Call(procNull, nil, nil)
+	err := c.CallContext(ctx, procNull, nil, nil)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", err)
 	}

@@ -324,11 +324,12 @@ func (g *generator) decodeDecl(d *Decl, expr string) {
 			}
 			return
 		}
-		g.pf("{\nn, err := d.Uint32()\nif err != nil { return err }\n")
+		// Every XDR element takes at least 4 wire bytes, so the count is
+		// held to what the record can still hold before make sees it.
+		g.pf("{\nn, err := d.ArrayLen(4)\nif err != nil { return err }\n")
 		if d.Size != "" {
-			g.pf("if n > uint32(%s) { return fmt.Errorf(\"%s: array too long (%%d)\", n) }\n", g.sizeExpr(d.Size), d.Name)
+			g.pf("if n > %s { return fmt.Errorf(\"%s: array too long (%%d)\", n) }\n", g.sizeExpr(d.Size), d.Name)
 		}
-		g.pf("if n > 1<<24 { return fmt.Errorf(\"%s: unreasonable array length %%d\", n) }\n", d.Name)
 		g.pf("%s = make([]%s, n)\n", expr, g.goType(d.Type))
 		g.pf("for i := range %s {\n", expr)
 		g.decodePlain(d.Type, expr+"[i]")
@@ -695,8 +696,8 @@ func (g *generator) emitVersion(prog *ProgramDef, v *VersionDef) error {
 		}
 
 		retType := g.goRetType(p.Ret)
-		// Client methods: a plain form using the client-wide timeout,
-		// and a Context form carrying a per-call deadline.
+		// Client methods: a plain form that waits without bound, and a
+		// Context form carrying a per-call deadline.
 		argNames := make([]string, len(p.Args))
 		for i := range p.Args {
 			argNames[i] = fmt.Sprintf("a%d", i)

@@ -9,15 +9,18 @@ package rpcltest
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"cricket/internal/oncrpc"
 	"cricket/internal/rpcl"
+	"cricket/internal/xdr"
 )
 
 // miniService implements MiniVersHandler.
@@ -255,6 +258,24 @@ func TestFixedArrayLengthEnforced(t *testing.T) {
 	err := rpc.Call(ProcNorm, &bad, nil) // reuse transport: encode failure happens client-side
 	if err == nil || !strings.Contains(err.Error(), "pts") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// A record holding nothing but an array count is a short read, found
+// before make sees the count: generated array decoders hold a count to
+// the bytes the record has left (xdr.Decoder.ArrayLen).
+func TestForgedArrayCountIsShortRead(t *testing.T) {
+	wire := []byte{0x00, 0xff, 0xff, 0xff} // 1<<24 - 1 tags, none present
+	var tags TagList
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := tags.UnmarshalXDR(xdr.NewBytesDecoder(wire))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want a short read", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<10 {
+		t.Fatalf("%d bytes allocated to refuse a 4-byte forged count", n)
 	}
 }
 

@@ -29,13 +29,9 @@ type AdmissionConfig struct {
 	Min, Max int
 	// Initial is the starting ceiling (default 16).
 	Initial int
-	// Alpha smooths the p50 service baseline (default 0.3).
-	Alpha float64
 	// Inflate is the tail-detachment gate: interval p99 above Inflate
 	// times the baseline triggers multiplicative decrease (default 4).
 	Inflate float64
-	// Beta is the multiplicative decrease factor (default 0.5).
-	Beta float64
 	// Step is the additive increase (default 2).
 	Step int
 	// MinCount is the minimum interval sample count for a decision;
@@ -64,14 +60,8 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.Initial > c.Max {
 		c.Initial = c.Max
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
 	if c.Inflate <= 1 {
 		c.Inflate = 4
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.5
 	}
 	if c.Step <= 0 {
 		c.Step = 2
@@ -127,7 +117,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 		cfg:      c,
 		limit:    c.Initial,
 		hint:     c.HintMin,
-		baseline: NewEWMA(c.Alpha),
+		baseline: NewEWMA(alpha),
 	}
 }
 
@@ -149,7 +139,7 @@ func (a *Admission) Update(o AdmissionObs) (maxInflight int, retryAfter time.Dur
 		// heavier, so fold it in at one-eighth weight: queueing bursts
 		// barely move the baseline, a real shift re-bases it within a
 		// few dozen intervals.
-		a.baseline.ObserveWith(float64(o.P50), a.cfg.Alpha/8)
+		a.baseline.ObserveWith(float64(o.P50), alpha/8)
 	} else {
 		a.baseline.Observe(float64(o.P50))
 	}
@@ -160,7 +150,7 @@ func (a *Admission) Update(o AdmissionObs) (maxInflight int, retryAfter time.Dur
 		// The tail detached from the service baseline: calls are
 		// queueing behind the ceiling. Halve it — early sheds with a
 		// hint beat silent queueing.
-		next := int(float64(a.limit) * a.cfg.Beta)
+		next := int(float64(a.limit) * beta)
 		if next >= a.limit {
 			next = a.limit - 1
 		}

@@ -19,6 +19,19 @@ import "time"
 // 0 allocs/op enqueue property of the batch queue is untouched.
 // Not safe for concurrent use — the owning session serializes flushes.
 
+const (
+	// coalesceMinBytes and coalesceMaxBytes bound the byte threshold.
+	coalesceMinBytes = 4 << 10
+	coalesceMaxBytes = 4 << 20
+	// coalesceGrowGate is the required per-entry improvement to keep
+	// growing: after a growth step, per-entry cost must fall below it
+	// times its pre-growth value or the threshold holds.
+	coalesceGrowGate = 0.95
+	// coalesceInflate is the flush-latency inflation gate for
+	// multiplicative decrease, against a slow EWMA.
+	coalesceInflate = 2.5
+)
+
 // CoalesceConfig tunes a Coalescer. The zero value selects the
 // documented defaults.
 type CoalesceConfig struct {
@@ -26,19 +39,6 @@ type CoalesceConfig struct {
 	MinN, MaxN int
 	// Initial is the starting entry threshold (default MinN).
 	Initial int
-	// MinBytes and MaxBytes bound the byte threshold (defaults 4KiB
-	// and 4MiB).
-	MinBytes, MaxBytes int
-	// Alpha smooths the per-entry and byte-rate EWMAs (default 0.3).
-	Alpha float64
-	// GrowGate is the required per-entry improvement to keep growing:
-	// after a growth step, per-entry cost must fall below GrowGate
-	// times its pre-growth value or the threshold holds (default
-	// 0.95).
-	GrowGate float64
-	// Inflate is the flush-latency inflation gate for multiplicative
-	// decrease (default 2.5, against a slow EWMA).
-	Inflate float64
 	// FlushesPerAdjust is how many flushes are observed between
 	// control decisions (default 8).
 	FlushesPerAdjust int
@@ -62,24 +62,6 @@ func (c CoalesceConfig) withDefaults() CoalesceConfig {
 	}
 	if c.Initial > c.MaxN {
 		c.Initial = c.MaxN
-	}
-	if c.MinBytes <= 0 {
-		c.MinBytes = 4 << 10
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 4 << 20
-	}
-	if c.MaxBytes < c.MinBytes {
-		c.MaxBytes = c.MinBytes
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.GrowGate <= 0 || c.GrowGate >= 1 {
-		c.GrowGate = 0.95
-	}
-	if c.Inflate <= 1 {
-		c.Inflate = 2.5
 	}
 	if c.FlushesPerAdjust <= 0 {
 		c.FlushesPerAdjust = 8
@@ -123,10 +105,10 @@ func NewCoalescer(cfg CoalesceConfig) *Coalescer {
 	return &Coalescer{
 		cfg:        c,
 		n:          c.Initial,
-		maxBytes:   c.MaxBytes,
-		perEntry:   NewEWMA(c.Alpha),
-		bytesPer:   NewEWMA(c.Alpha),
-		flushShort: NewEWMA(c.Alpha),
+		maxBytes:   coalesceMaxBytes,
+		perEntry:   NewEWMA(alpha),
+		bytesPer:   NewEWMA(alpha),
+		flushShort: NewEWMA(alpha),
 		flushLong:  NewEWMA(0.02),
 	}
 }
@@ -161,7 +143,7 @@ func (c *Coalescer) adjust() {
 	c.sinceAdjust, c.full = 0, 0
 
 	switch {
-	case c.flushLong.Value() > 0 && c.flushShort.Value() > c.cfg.Inflate*c.flushLong.Value():
+	case c.flushLong.Value() > 0 && c.flushShort.Value() > coalesceInflate*c.flushLong.Value():
 		// Flush latency detached from its long-run average without a
 		// size change explaining it: the server degraded. Shed batch
 		// richness multiplicatively, and remember the pre-shrink
@@ -185,7 +167,7 @@ func (c *Coalescer) adjust() {
 		c.holdoff--
 		c.lastGrew = false
 	case full2 && c.n < c.cfg.MaxN &&
-		(c.prevPerEntry == 0 || c.perEntry.Value() < c.cfg.GrowGate*c.prevPerEntry):
+		(c.prevPerEntry == 0 || c.perEntry.Value() < coalesceGrowGate*c.prevPerEntry):
 		// The threshold binds (batches fill) and the previous step
 		// still bought a real per-entry improvement (or no step has
 		// been tried yet): amortization has more to give.
@@ -202,11 +184,11 @@ func (c *Coalescer) adjust() {
 	// not bytes — is the binding knob for typical entries.
 	if bp := c.bytesPer.Value(); bp > 0 {
 		b := int(bp * float64(c.n) * 2)
-		if b < c.cfg.MinBytes {
-			b = c.cfg.MinBytes
+		if b < coalesceMinBytes {
+			b = coalesceMinBytes
 		}
-		if b > c.cfg.MaxBytes {
-			b = c.cfg.MaxBytes
+		if b > coalesceMaxBytes {
+			b = coalesceMaxBytes
 		}
 		c.maxBytes = b
 	}
@@ -223,7 +205,7 @@ func (c *Coalescer) setN(n int) {
 		// A size change explains whatever the flush latency does next;
 		// re-seed the inflation detector so it only fires on same-size
 		// latency jumps (a degrading server, not our own growth).
-		c.flushShort = NewEWMA(c.cfg.Alpha)
+		c.flushShort = NewEWMA(alpha)
 		c.flushLong = NewEWMA(0.02)
 	}
 	c.n = n

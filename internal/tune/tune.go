@@ -69,6 +69,25 @@ func (e *EWMA) Samples() uint64 { return e.n }
 // the 97th percentile — a cheap, allocation-free p99 stand-in.
 const ringSize = 64
 
+// Constants of the controllers.
+const (
+	// alpha smooths every controller's latency EWMAs.
+	alpha = 0.3
+	// beta is the multiplicative decrease factor of the AIMD
+	// controllers (Window, Admission).
+	beta = 0.5
+	// windowFlat is the Window's marginal-latency gate: it grows only
+	// while ewma(latency at the current window) <= windowFlat *
+	// ewma(latency at half the window) — one more RIF is still roughly
+	// free.
+	windowFlat = 1.4
+	// windowSteep is its descent gate: when the same ratio exceeds it
+	// the window is clearly past the knee (running here costs real
+	// latency over running at half the window) and the controller
+	// probes downward one Step per period.
+	windowSteep = 1.8
+)
+
 // WindowConfig tunes a Window controller. The zero value selects the
 // documented defaults.
 type WindowConfig struct {
@@ -78,24 +97,10 @@ type WindowConfig struct {
 	Min, Max int
 	// Initial is the starting window (default Min).
 	Initial int
-	// Alpha is the per-RIF-level EWMA smoothing (default 0.3).
-	Alpha float64
-	// Flat is the marginal-latency gate: the window grows only while
-	// ewma(latency at the current window) <= Flat * ewma(latency at
-	// half the window) — one more RIF is still roughly free (default
-	// 1.4).
-	Flat float64
-	// Steep is the descent gate: when the same ratio exceeds Steep the
-	// window is clearly past the knee (running here costs real latency
-	// over running at half the window) and the controller probes
-	// downward one Step per period (default 1.8; forced above Flat).
-	Steep float64
 	// Inflate is the backoff gate: when the recent high quantile
 	// exceeds Inflate * the long-run EWMA, a queue is forming and the
 	// window shrinks multiplicatively (default 2.5).
 	Inflate float64
-	// Beta is the multiplicative decrease factor (default 0.5).
-	Beta float64
 	// Step is the additive increase (default 1).
 	Step int
 	// Period is the minimum spacing between adjustments (default
@@ -127,23 +132,8 @@ func (c WindowConfig) withDefaults() WindowConfig {
 	if c.Initial > c.Max {
 		c.Initial = c.Max
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.Flat <= 1 {
-		c.Flat = 1.4
-	}
-	if c.Steep <= c.Flat {
-		c.Steep = 1.8
-		if c.Steep <= c.Flat {
-			c.Steep = c.Flat * 1.3
-		}
-	}
 	if c.Inflate <= 1 {
 		c.Inflate = 2.5
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.5
 	}
 	if c.Step <= 0 {
 		c.Step = 1
@@ -206,7 +196,7 @@ func NewWindow(cfg WindowConfig) *Window {
 		long:   NewEWMA(0.05),
 	}
 	for i := range w.levels {
-		w.levels[i] = NewEWMA(c.Alpha)
+		w.levels[i] = NewEWMA(alpha)
 	}
 	w.cond = sync.NewCond(&w.mu)
 	return w
@@ -342,7 +332,7 @@ func (w *Window) maybeAdjustLocked() {
 	ref := w.refLevelLocked()
 	if cur.Samples() > 0 && ref != nil && ref.Value() > 0 {
 		r := cur.Value() / ref.Value()
-		if r > w.cfg.Steep && w.window > w.cfg.Min {
+		if r > windowSteep && w.window > w.cfg.Min {
 			w.window -= w.cfg.Step
 			if w.window < w.cfg.Min {
 				w.window = w.cfg.Min
@@ -350,7 +340,7 @@ func (w *Window) maybeAdjustLocked() {
 			w.shrinks++
 			return
 		}
-		if r > w.cfg.Flat {
+		if r > windowFlat {
 			return
 		}
 	}
@@ -388,7 +378,7 @@ func (w *Window) refLevelLocked() *EWMA {
 // shrinkLocked applies one multiplicative decrease. Called with mu
 // held.
 func (w *Window) shrinkLocked() {
-	next := int(float64(w.window) * w.cfg.Beta)
+	next := int(float64(w.window) * beta)
 	if next >= w.window {
 		next = w.window - 1
 	}

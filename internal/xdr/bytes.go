@@ -12,30 +12,10 @@ func Marshal(v Marshaler) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal decodes v from data. Trailing bytes are not an error; use
-// UnmarshalStrict to reject them.
+// Unmarshal decodes v from data. Trailing bytes are not an error.
 func Unmarshal(data []byte, v Unmarshaler) error {
 	return NewBytesDecoder(data).Unmarshal(v)
 }
-
-// UnmarshalStrict decodes v from data and rejects trailing bytes.
-func UnmarshalStrict(data []byte, v Unmarshaler) error {
-	d := NewBytesDecoder(data)
-	if err := d.Unmarshal(v); err != nil {
-		return err
-	}
-	if d.Len() != int64(len(data)) {
-		return ErrTrailingBytes
-	}
-	return nil
-}
-
-// ErrTrailingBytes reports undecoded bytes left after UnmarshalStrict.
-var ErrTrailingBytes = errTrailing{}
-
-type errTrailing struct{}
-
-func (errTrailing) Error() string { return "xdr: trailing bytes after decode" }
 
 // GatherMin is the size from which PutFixedOpaque hands an opaque to a
 // Gather by reference: a page. Below it (launch arguments, batch

@@ -42,10 +42,6 @@ var (
 	// ErrBadPadding reports nonzero bytes in the padding that aligns a
 	// variable-length item to a 4-byte boundary.
 	ErrBadPadding = errors.New("xdr: nonzero padding")
-	// ErrNegativeLength reports a negative length passed by the caller.
-	ErrNegativeLength = errors.New("xdr: negative length")
-	// ErrBadOptional reports an optional-data discriminant other than 0 or 1.
-	ErrBadOptional = errors.New("xdr: optional discriminant not 0 or 1")
 )
 
 // Marshaler is implemented by composite types that can encode
@@ -66,12 +62,6 @@ var zeroPad [Alignment]byte
 // block size.
 func Pad(n int) int {
 	return (Alignment - n%Alignment) % Alignment
-}
-
-// OpaqueLen returns the total encoded size of a variable-length opaque
-// of n bytes: 4-byte length prefix plus data plus padding.
-func OpaqueLen(n int) int {
-	return 4 + n + Pad(n)
 }
 
 // An Encoder writes XDR-encoded data to an underlying io.Writer.
@@ -210,62 +200,6 @@ func (e *Encoder) PutString(s string) error {
 	}
 	if pad := Pad(len(s)); pad > 0 {
 		return e.write(zeroPad[:pad])
-	}
-	return e.err
-}
-
-// PutOptional encodes XDR optional-data: a boolean discriminant
-// followed, when present is true, by the value itself.
-func (e *Encoder) PutOptional(present bool, v Marshaler) error {
-	if err := e.PutBool(present); err != nil {
-		return err
-	}
-	if present {
-		if err := v.MarshalXDR(e); err != nil {
-			if e.err == nil {
-				e.err = err
-			}
-			return err
-		}
-	}
-	return e.err
-}
-
-// PutUint32Slice encodes a variable-length array of unsigned integers.
-func (e *Encoder) PutUint32Slice(vs []uint32) error {
-	if err := e.PutUint32(uint32(len(vs))); err != nil {
-		return err
-	}
-	for _, v := range vs {
-		if err := e.PutUint32(v); err != nil {
-			return err
-		}
-	}
-	return e.err
-}
-
-// PutUint64Slice encodes a variable-length array of unsigned hypers.
-func (e *Encoder) PutUint64Slice(vs []uint64) error {
-	if err := e.PutUint32(uint32(len(vs))); err != nil {
-		return err
-	}
-	for _, v := range vs {
-		if err := e.PutUint64(v); err != nil {
-			return err
-		}
-	}
-	return e.err
-}
-
-// PutFloat64Slice encodes a variable-length array of doubles.
-func (e *Encoder) PutFloat64Slice(vs []float64) error {
-	if err := e.PutUint32(uint32(len(vs))); err != nil {
-		return err
-	}
-	for _, v := range vs {
-		if err := e.PutFloat64(v); err != nil {
-			return err
-		}
 	}
 	return e.err
 }
@@ -454,18 +388,19 @@ func (d *Decoder) FixedOpaque(p []byte) error {
 	return d.readPad(len(p))
 }
 
-// itemLen decodes the length prefix of a variable-length item of
-// elem-byte elements and holds it to the configured maximum and, when
-// decoding a record, to the bytes the record has left: a forged prefix
-// fails as the short read it is before anything is allocated for it.
-func (d *Decoder) itemLen(elem int64) (int, error) {
+// ArrayLen decodes the length prefix of a variable-length item whose
+// elements each take at least minElemBytes on the wire, and holds it to
+// the configured maximum and, when decoding a record, to the bytes the
+// record has left: a forged prefix fails as the short read it is
+// before anything is allocated for it.
+func (d *Decoder) ArrayLen(minElemBytes int) (int, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return 0, err
 	}
-	size := int64(n) * elem
+	size := int64(n) * int64(minElemBytes)
 	if size > int64(d.maxSize) {
-		d.err = fmt.Errorf("%w: %d items of %d bytes > %d", ErrTooLong, n, elem, d.maxSize)
+		d.err = fmt.Errorf("%w: %d items of %d bytes > %d", ErrTooLong, n, minElemBytes, d.maxSize)
 	} else if d.r == nil && size > int64(len(d.data))-d.n {
 		d.err = fmt.Errorf("xdr: short read after %d bytes: %w", d.n, io.ErrUnexpectedEOF)
 	}
@@ -482,7 +417,7 @@ func (d *Decoder) Opaque() ([]byte, error) {
 // (avoiding an allocation) and otherwise allocates. It returns the
 // decoded bytes.
 func (d *Decoder) OpaqueInto(dst []byte) ([]byte, error) {
-	n, err := d.itemLen(1)
+	n, err := d.ArrayLen(1)
 	if err != nil {
 		return nil, err
 	}
@@ -510,75 +445,6 @@ func (d *Decoder) String() (string, error) {
 		return "", err
 	}
 	return string(p), nil
-}
-
-// Optional decodes XDR optional-data. When the discriminant is true it
-// invokes decode to consume the value and reports present=true.
-func (d *Decoder) Optional(decode func(*Decoder) error) (present bool, err error) {
-	v, err := d.Uint32()
-	if err != nil {
-		return false, err
-	}
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		if err := decode(d); err != nil {
-			if d.err == nil {
-				d.err = err
-			}
-			return true, d.err
-		}
-		return true, nil
-	default:
-		d.err = fmt.Errorf("%w: %d", ErrBadOptional, v)
-		return false, d.err
-	}
-}
-
-// Uint32Slice decodes a variable-length array of unsigned integers.
-func (d *Decoder) Uint32Slice() ([]uint32, error) {
-	n, err := d.itemLen(4)
-	if err != nil {
-		return nil, err
-	}
-	vs := make([]uint32, n)
-	for i := range vs {
-		if vs[i], err = d.Uint32(); err != nil {
-			return nil, err
-		}
-	}
-	return vs, nil
-}
-
-// Uint64Slice decodes a variable-length array of unsigned hypers.
-func (d *Decoder) Uint64Slice() ([]uint64, error) {
-	n, err := d.itemLen(8)
-	if err != nil {
-		return nil, err
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		if vs[i], err = d.Uint64(); err != nil {
-			return nil, err
-		}
-	}
-	return vs, nil
-}
-
-// Float64Slice decodes a variable-length array of doubles.
-func (d *Decoder) Float64Slice() ([]float64, error) {
-	n, err := d.itemLen(8)
-	if err != nil {
-		return nil, err
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		if vs[i], err = d.Float64(); err != nil {
-			return nil, err
-		}
-	}
-	return vs, nil
 }
 
 // Unmarshal decodes into v using its UnmarshalXDR method.

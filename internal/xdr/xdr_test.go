@@ -22,16 +22,9 @@ func TestPad(t *testing.T) {
 	}
 }
 
-func TestOpaqueLen(t *testing.T) {
-	cases := []struct{ n, want int }{
-		{0, 4}, {1, 8}, {4, 8}, {5, 12}, {100, 104},
-	}
-	for _, c := range cases {
-		if got := OpaqueLen(c.n); got != c.want {
-			t.Errorf("OpaqueLen(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
+// opaqueWire is the encoded size of a variable-length opaque of n
+// bytes: length prefix, data, padding.
+func opaqueWire(n int) int { return 4 + n + Pad(n) }
 
 func roundTrip(t *testing.T, enc func(*Encoder) error, dec func(*Decoder) error) {
 	t.Helper()
@@ -297,59 +290,62 @@ func TestOpaqueInto(t *testing.T) {
 	}
 }
 
+// Counted arrays the way rpcgen emits them: a length prefix, read with
+// ArrayLen, then the elements.
 func TestSlices(t *testing.T) {
-	u32 := []uint32{1, 2, 3, math.MaxUint32}
 	u64 := []uint64{4, 5, math.MaxUint64}
 	f64 := []float64{1.5, -2.5, math.Pi}
 	roundTrip(t,
 		func(e *Encoder) error {
-			if err := e.PutUint32Slice(u32); err != nil {
-				return err
+			e.PutUint32(uint32(len(u64)))
+			for _, v := range u64 {
+				e.PutUint64(v)
 			}
-			if err := e.PutUint64Slice(u64); err != nil {
-				return err
+			e.PutUint32(uint32(len(f64)))
+			for _, v := range f64 {
+				e.PutFloat64(v)
 			}
-			return e.PutFloat64Slice(f64)
+			return e.Err()
 		},
 		func(d *Decoder) error {
-			g1, err := d.Uint32Slice()
-			if err != nil {
-				return err
+			n, err := d.ArrayLen(8)
+			if err != nil || n != len(u64) {
+				t.Fatalf("u64 count = %d, %v", n, err)
 			}
-			g2, err := d.Uint64Slice()
-			if err != nil {
-				return err
+			for i := range u64 {
+				if v, _ := d.Uint64(); v != u64[i] {
+					t.Errorf("u64[%d] = %d", i, v)
+				}
 			}
-			g3, err := d.Float64Slice()
-			if err != nil {
-				return err
+			if n, err = d.ArrayLen(8); err != nil || n != len(f64) {
+				t.Fatalf("f64 count = %d, %v", n, err)
 			}
-			if len(g1) != len(u32) || g1[3] != math.MaxUint32 {
-				t.Errorf("u32 = %v", g1)
+			for i := range f64 {
+				if v, _ := d.Float64(); v != f64[i] {
+					t.Errorf("f64[%d] = %g", i, v)
+				}
 			}
-			if len(g2) != len(u64) || g2[2] != math.MaxUint64 {
-				t.Errorf("u64 = %v", g2)
-			}
-			if len(g3) != len(f64) || g3[2] != math.Pi {
-				t.Errorf("f64 = %v", g3)
-			}
-			return nil
+			return d.Err()
 		})
 }
 
+// An empty array is its count alone, and the last thing a record may
+// hold: ArrayLen asks for no bytes beyond the prefix.
 func TestEmptySlices(t *testing.T) {
-	roundTrip(t,
-		func(e *Encoder) error { return e.PutUint32Slice(nil) },
-		func(d *Decoder) error {
-			got, err := d.Uint32Slice()
-			if err != nil {
-				return err
-			}
-			if len(got) != 0 {
-				t.Errorf("got %v", got)
-			}
-			return nil
-		})
+	d := NewBytesDecoder([]byte{0, 0, 0, 0})
+	if n, err := d.ArrayLen(4); err != nil || n != 0 {
+		t.Fatalf("ArrayLen = %d, %v", n, err)
+	}
+	// A count the record's remaining bytes cover exactly is accepted.
+	d.ResetBytes([]byte{0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0, 9})
+	if n, err := d.ArrayLen(4); err != nil || n != 2 {
+		t.Fatalf("ArrayLen = %d, %v", n, err)
+	}
+	// One more than they cover is the short read.
+	d.ResetBytes([]byte{0, 0, 0, 3, 0, 0, 0, 7, 0, 0, 0, 9})
+	if _, err := d.ArrayLen(4); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want a short read", err)
+	}
 }
 
 type pair struct {
@@ -378,60 +374,11 @@ func TestMarshalUnmarshalBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out pair
-	if err := UnmarshalStrict(data, &out); err != nil {
+	if err := Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != *in {
 		t.Fatalf("got %+v, want %+v", out, in)
-	}
-}
-
-func TestUnmarshalStrictTrailing(t *testing.T) {
-	in := &pair{A: 1, B: "x"}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, 0, 0, 0, 0)
-	var out pair
-	if err := UnmarshalStrict(data, &out); !errors.Is(err, ErrTrailingBytes) {
-		t.Fatalf("err = %v, want ErrTrailingBytes", err)
-	}
-	// Non-strict Unmarshal tolerates the same input.
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-}
-
-func TestOptional(t *testing.T) {
-	in := &pair{A: 7, B: "opt"}
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	if err := e.PutOptional(true, in); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PutOptional(false, in); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDecoder(bytes.NewReader(buf.Bytes()))
-	var got pair
-	present, err := d.Optional(func(d *Decoder) error { return got.UnmarshalXDR(d) })
-	if err != nil || !present {
-		t.Fatalf("present=%v err=%v", present, err)
-	}
-	if got != *in {
-		t.Fatalf("got %+v", got)
-	}
-	present, err = d.Optional(func(d *Decoder) error { t.Error("decode called for absent value"); return nil })
-	if err != nil || present {
-		t.Fatalf("present=%v err=%v", present, err)
-	}
-}
-
-func TestOptionalBadDiscriminant(t *testing.T) {
-	d := NewDecoder(bytes.NewReader([]byte{0, 0, 0, 9}))
-	if _, err := d.Optional(func(*Decoder) error { return nil }); !errors.Is(err, ErrBadOptional) {
-		t.Fatalf("err = %v, want ErrBadOptional", err)
 	}
 }
 
@@ -499,7 +446,7 @@ func TestQuickOpaqueRoundTrip(t *testing.T) {
 		if err := e.PutOpaque(p); err != nil {
 			return false
 		}
-		if buf.Len() != OpaqueLen(len(p)) {
+		if buf.Len() != opaqueWire(len(p)) {
 			return false
 		}
 		d := NewDecoder(bytes.NewReader(buf.Bytes()))
@@ -604,7 +551,7 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 		d := NewDecoder(bytes.NewReader(data))
 		d.SetMaxSize(1 << 16)
 		for _, op := range ops {
-			switch op % 10 {
+			switch op % 9 {
 			case 0:
 				d.Uint32()
 			case 1:
@@ -622,9 +569,7 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 			case 7:
 				d.Opaque()
 			case 8:
-				d.Uint32Slice()
-			case 9:
-				d.Optional(func(d *Decoder) error { _, err := d.Uint32(); return err })
+				d.ArrayLen(4)
 			}
 		}
 		return true
@@ -641,7 +586,7 @@ func decodeOps(d *Decoder, ops []uint8) string {
 	for _, op := range ops {
 		var v any
 		var err error
-		switch op % 8 {
+		switch op % 7 {
 		case 0:
 			v, err = d.Uint32()
 		case 1:
@@ -655,9 +600,7 @@ func decodeOps(d *Decoder, ops []uint8) string {
 		case 5:
 			v, err = d.OpaqueInto(make([]byte, 0, 8))
 		case 6:
-			v, err = d.Uint32Slice()
-		case 7:
-			v, err = d.Float64Slice()
+			v, err = d.ArrayLen(8)
 		}
 		if err != nil {
 			// Messages may differ (a forged length is refused before
@@ -692,9 +635,9 @@ func TestQuickBytesDecoderMatchesReader(t *testing.T) {
 	e := NewEncoder(&buf)
 	e.PutOpaque([]byte("hello"))
 	e.PutString("wörld")
-	e.PutUint32Slice([]uint32{1, 2, 3})
-	e.PutFloat64Slice([]float64{1.5})
-	if !f(buf.Bytes(), []uint8{4, 3, 6, 7}) {
+	e.PutUint32(1) // a one-element array of doubles
+	e.PutFloat64(1.5)
+	if !f(buf.Bytes(), []uint8{4, 3, 6, 1}) {
 		t.Fatal("well-formed message decodes differently")
 	}
 }
@@ -704,20 +647,19 @@ func TestQuickBytesDecoderMatchesReader(t *testing.T) {
 func TestForgedLengthFailsBeforeAllocating(t *testing.T) {
 	wire := []byte{0x40, 0, 0, 0, 1, 2, 3, 4}
 	decoders := map[string]func(*Decoder) error{
-		"Opaque":       func(d *Decoder) error { _, err := d.Opaque(); return err },
-		"OpaqueInto":   func(d *Decoder) error { _, err := d.OpaqueInto(make([]byte, 0, 4)); return err },
-		"String":       func(d *Decoder) error { _, err := d.String(); return err },
-		"Uint32Slice":  func(d *Decoder) error { d.Uint32(); _, err := d.Uint32Slice(); return err },
-		"Uint64Slice":  func(d *Decoder) error { d.Uint32(); _, err := d.Uint64Slice(); return err },
-		"Float64Slice": func(d *Decoder) error { d.Uint32(); _, err := d.Float64Slice(); return err },
+		"Opaque":      func(d *Decoder) error { _, err := d.Opaque(); return err },
+		"OpaqueInto":  func(d *Decoder) error { _, err := d.OpaqueInto(make([]byte, 0, 4)); return err },
+		"String":      func(d *Decoder) error { _, err := d.String(); return err },
+		"ArrayLen(4)": func(d *Decoder) error { d.Uint32(); _, err := d.ArrayLen(4); return err },
+		"ArrayLen(8)": func(d *Decoder) error { d.Uint32(); _, err := d.ArrayLen(8); return err },
 	}
-	// The slice decoders get a count that fits the 1 GiB item limit
+	// The array decoders get a count that fits the 1 GiB item limit
 	// only as a count: 0x01020304 elements are 64 MiB and more.
-	sliceWire := []byte{0, 0, 0, 0, 1, 2, 3, 4}
+	arrayWire := []byte{0, 0, 0, 0, 1, 2, 3, 4}
 	for name, decode := range decoders {
 		w := wire
-		if strings.HasSuffix(name, "Slice") {
-			w = sliceWire
+		if strings.HasPrefix(name, "ArrayLen") {
+			w = arrayWire
 		}
 		d := NewBytesDecoder(nil)
 		var err error
@@ -793,7 +735,7 @@ func TestGatherReferencesLargeOpaques(t *testing.T) {
 		if err := e.PutUint32(2); err != nil {
 			t.Fatal(err)
 		}
-		if e.Len() != int64(4+OpaqueLen(len(small))+OpaqueLen(len(big))+OpaqueLen(GatherMin)+4) {
+		if e.Len() != int64(4+opaqueWire(len(small))+opaqueWire(len(big))+opaqueWire(GatherMin)+4) {
 			t.Fatalf("encoder counted %d bytes", e.Len())
 		}
 	}
