@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci gen-check bench generate loc
+.PHONY: build test race vet ci gen-check bench generate loc fuzz-smoke pairs
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,7 @@ race:
 	$(GO) test -race ./...
 
 # ci is the gate. Each leg's comment names what it holds.
-ci: build vet race gen-check
+ci: build vet race gen-check fuzz-smoke
 	$(GO) test -race -count=2 ./internal/tune ./internal/cricket ./internal/oncrpc ./internal/xdr  # doubled run: ordering flakes in the tuners, the datapath and the record-buffer hand-off
 	$(GO) test -race ./internal/fleet ./internal/cricket          # migration paths
 	$(GO) test -race ./internal/serve                             # the serving scheduler
@@ -32,6 +32,22 @@ ci: build vet race gen-check
 # emits for its .x file.
 gen-check: generate
 	git diff --exit-code -- '*/gen_*.go'
+
+# fuzz-smoke runs every Fuzz* target for FUZZTIME on top of its seed
+# corpus (which plain `go test` already replays), spending at most 5 s
+# shrinking an input that fails.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/oncrpc
+
+# pairs is the protocol a performance claim is held to: N alternating
+# runs of the unmodified benchmark at PARENT and in this tree, as the
+# table CHANGES.md quotes. The environment reaches the benchmark:
+# `GOMAXPROCS=1 make pairs PARENT=HEAD~1` is the one-processor row.
+N ?= 10
+SEED ?= 1
+pairs:
+	$(GO) run ./cmd/benchpairs -parent $(PARENT) -n $(N) -seed $(SEED) $(if $(WORKLOADS),-workloads $(WORKLOADS))
 
 # loc prints the line counts ROADMAP gates on: hand-written, non-test
 # Go (gen_*.go and *_test.go excluded) per internal package, for cmd/

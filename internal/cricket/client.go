@@ -188,9 +188,9 @@ func Connect(conn io.ReadWriteCloser, opts Options) (*Client, error) {
 		c.sim = true
 	}
 	if opts.Transfer != TransferRPCArgs {
-		// Close the RPC client on failure, or its readLoop goroutine
-		// (and the connection it owns) leak: Connect never hands the
-		// half-built client to the caller.
+		// Close the RPC client on failure, or the connection it owns
+		// leaks: Connect never hands the half-built client to the
+		// caller.
 		ctx, cancel := c.ctxFor(false)
 		code, err := c.gen.MtSetTransferContext(ctx, int32(opts.Transfer), int32(c.sockets))
 		cancel()

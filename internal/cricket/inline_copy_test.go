@@ -95,7 +95,7 @@ func TestForgedOpaqueLengthIsGarbageArgs(t *testing.T) {
 			}
 			allocated := totalAlloc() - before
 			var reply oncrpc.ReplyHeader
-			if err := xdr.Unmarshal(rec, &reply); err != nil {
+			if err := reply.UnmarshalXDR(xdr.NewBytesDecoder(rec)); err != nil {
 				t.Fatal(err)
 			}
 			if reply.XID != 7 || reply.Stat != oncrpc.MsgAccepted || reply.AccStat != oncrpc.GarbageArgs {

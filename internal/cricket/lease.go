@@ -61,7 +61,9 @@ type Limits struct {
 	MaxClientMem uint64
 	// MaxInflight caps concurrently executing calls across all
 	// clients; zero is unlimited. Over-limit calls are shed with
-	// cuda.ErrorServerOverloaded plus a RetryAfter hint.
+	// cuda.ErrorServerOverloaded plus a RetryAfter hint, and the shed
+	// connection's next call is let in ahead of connections that were
+	// not kept waiting (see serverConn.admitLocked).
 	MaxInflight int
 	// RetryAfter is the backpressure hint stamped on shed replies.
 	// Zero selects a default (50ms).
@@ -69,6 +71,11 @@ type Limits struct {
 }
 
 const defaultRetryAfter = 50 * time.Millisecond
+
+// reserveHints is how many RetryAfter periods the gate keeps a slot for
+// a connection it shed: enough for a caller sleeping the hint on a
+// coarse timer, little for the others if it has stopped retrying.
+const reserveHints = 8
 
 // overloadCode is the in-band status for shed calls.
 const overloadCode = int32(cuda.ErrorServerOverloaded)
@@ -215,6 +222,7 @@ func (sc *serverConn) ReplyVerf() oncrpc.OpaqueAuth {
 func (sc *serverConn) ConnEnd() {
 	s := sc.Server
 	s.mu.Lock()
+	delete(s.reserved, sc)
 	ls := sc.ls
 	if ls == nil || ls.dead || ls.owner != sc {
 		s.mu.Unlock()
@@ -245,8 +253,7 @@ func (sc *serverConn) begin() bool {
 		s.mu.Unlock()
 		return false
 	}
-	if s.limits.MaxInflight > 0 && s.inflight >= s.limits.MaxInflight {
-		sc.shedLocked()
+	if !sc.admitLocked() {
 		s.mu.Unlock()
 		return false
 	}
@@ -273,6 +280,47 @@ func (sc *serverConn) begin() bool {
 		(*f)()
 	}
 	return true
+}
+
+// admitLocked applies MaxInflight. First come, first served would let
+// the connections holding the slots re-enter within microseconds, while
+// a shed caller sleeps out its hint and finds the gate shut each time
+// it returns. So a connection shed here gets a reservation — until it
+// is admitted, it ends, or reserveHints hints have passed — and one
+// without is admitted only while calls in flight and reservations
+// together leave room. Called with Server.mu held.
+func (sc *serverConn) admitLocked() bool {
+	s := sc.Server
+	max := s.limits.MaxInflight
+	if max <= 0 {
+		return true
+	}
+	var now time.Time
+	if len(s.reserved) > 0 {
+		now = s.clock()
+		for w, until := range s.reserved {
+			if now.After(until) {
+				delete(s.reserved, w)
+			}
+		}
+	}
+	room := max - s.inflight
+	if _, waited := s.reserved[sc]; !waited {
+		room -= len(s.reserved)
+	}
+	if room > 0 {
+		delete(s.reserved, sc)
+		return true
+	}
+	sc.shedLocked()
+	if s.reserved == nil {
+		s.reserved = make(map[*serverConn]time.Time)
+	}
+	if now.IsZero() {
+		now = s.clock()
+	}
+	s.reserved[sc] = now.Add(reserveHints * sc.shed)
+	return false
 }
 
 func (sc *serverConn) end() {

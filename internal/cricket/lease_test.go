@@ -385,6 +385,96 @@ func TestMaxInflightShedsWithRetryHint(t *testing.T) {
 	}
 }
 
+// TestGateReservesASlotForTheShedCaller: with one slot and two
+// connections, the one that holds the slot and re-enters back to back
+// cannot keep out the one that was shed and is sleeping out its hint.
+// The reservation that ensures it lapses on the server's clock, and
+// with its connection.
+func TestGateReservesASlotForTheShedCaller(t *testing.T) {
+	e := newSessEnv(t, "")
+	srv := e.server()
+	const hint = 7 * time.Millisecond
+	srv.SetLimits(Limits{MaxInflight: 1, RetryAfter: hint})
+	fc := installFakeClock(srv)
+	holder, _ := governedClient(t, e, 0x1)
+	defer holder.Close()
+	waiter, _ := governedClient(t, e, 0x2)
+
+	sheds := uint64(0)
+	call := func(c *Client, wantShed bool, what string) {
+		t.Helper()
+		_, err := c.GetDeviceCount()
+		if wantShed {
+			sheds++
+			if !isOverload(err) {
+				t.Fatalf("%s: %v, want the call shed", what, err)
+			}
+			if got := c.TakeRetryHint(); got != hint {
+				t.Fatalf("%s: retry hint %v, want %v", what, got, hint)
+			}
+		} else if err != nil {
+			t.Fatalf("%s: %v, want the call admitted", what, err)
+		}
+		if got := srv.Stats().CallsShed; got != sheds {
+			t.Fatalf("%s: CallsShed = %d, want %d", what, got, sheds)
+		}
+	}
+
+	for round := 0; round < 3; round++ {
+		// The waiter arrives while the holder's call is executing.
+		entered, release := make(chan struct{}), make(chan struct{})
+		srv.SetExecModel(func() { entered <- struct{}{}; <-release })
+		held := make(chan error, 1)
+		go func() { _, err := holder.GetDeviceCount(); held <- err }()
+		<-entered
+		srv.SetExecModel(nil)
+		call(waiter, true, "waiter, slot taken")
+		close(release)
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+		// The slot is free and the waiter asleep: it is the waiter's,
+		// who is therefore not shed twice in a row. Then it is the
+		// holder's, who has been kept waiting in turn.
+		call(holder, true, "holder re-entering ahead of the waiter")
+		call(waiter, false, "waiter, back after its hint")
+		call(waiter, true, "waiter re-entering ahead of the holder")
+		call(holder, false, "holder, back after its hint")
+		call(waiter, false, "waiter, holding a reservation of its own")
+	}
+
+	// A shed caller that never comes back keeps others out only until
+	// its reservation runs out on the server's clock.
+	srv.mu.Lock()
+	srv.inflight = 1
+	srv.mu.Unlock()
+	call(waiter, true, "waiter, slot taken")
+	srv.mu.Lock()
+	srv.inflight = 0
+	srv.mu.Unlock()
+	fc.Advance(reserveHints * hint)
+	call(holder, true, "holder, waiter's reservation still good")
+	call(holder, false, "holder, holding a reservation of its own")
+	fc.Advance(1)
+	call(holder, false, "holder, waiter's reservation run out")
+
+	// Or until its connection ends.
+	srv.mu.Lock()
+	srv.inflight = 1
+	srv.mu.Unlock()
+	call(waiter, true, "waiter, slot taken")
+	srv.mu.Lock()
+	srv.inflight = 0
+	srv.mu.Unlock()
+	waiter.Close()
+	waitUntil(t, "the closed connection's reservation to go", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.reserved) == 0
+	})
+	call(holder, false, "holder, waiter gone")
+}
+
 // A device reset frees the device's memory and destroys its handles
 // for every tenant, so every lease's books must follow: a tag that
 // outlives its resource keeps quota charged for good and, once the

@@ -142,6 +142,7 @@ type Server struct {
 	leaseByNonce map[uint64]*lease
 	leaseSeq     uint64
 	inflight     int
+	reserved     map[*serverConn]time.Time // connections shed for MaxInflight, until when the gate keeps a slot for each
 	clock        func() time.Time
 
 	// collector, when set, receives per-call spans and histograms.

@@ -278,7 +278,7 @@ type Session struct {
 	batchTimer    *time.Timer
 	batchDeferred error           // first in-band batch failure awaiting a sync point
 	wireBuf       []BatchEntry    // reused flush translation buffer
-	argArena      []byte          // reused flush-time launch-arg rewrite arena
+	argArena      []byte          // reused launch-arg rewrite arena: a flush's entries, or one unbatched launch
 	coalescer     *tune.Coalescer // adaptive thresholds; nil = static
 
 	statmu sync.Mutex
@@ -387,6 +387,9 @@ func mintNonce() uint64 {
 // isOverload reports the in-band status of a call the server shed
 // under admission control.
 func isOverload(err error) bool {
+	if err == nil {
+		return false // before errors.As makes its target escape
+	}
 	var ce cuda.Error
 	return errors.As(err, &ce) && ce == cuda.ErrorServerOverloaded
 }
@@ -548,7 +551,7 @@ func (s *Session) retireClientLocked() error {
 		return nil
 	}
 	s.retired.add(s.c.Stats())
-	err := s.c.Close() // tears down the transport and its readLoop
+	err := s.c.Close() // tears down the transport
 	s.c = nil
 	return err
 }
@@ -1008,12 +1011,9 @@ func (s *Session) flushBatchLocked() error {
 	// the quiesce runs with s.mu held for the whole cutover, so gating
 	// it on a window shared with other sessions would stretch the
 	// stop-the-world pause, and its latency is not a signal the window
-	// controller should learn from.
-	doer := s.do
-	if s.quiescing {
-		doer = s.doQuiet
-	}
-	err := doer(func(c *Client) error {
+	// controller should learn from. Both are called by name: through a
+	// func value the closure would escape, one allocation a flush.
+	flush := func(c *Client) error {
 		entries := s.wireBuf[:0]
 		arena := s.argArena[:0]
 		for i := range ops {
@@ -1075,7 +1075,13 @@ func (s *Session) flushBatchLocked() error {
 			}
 		}
 		return nil
-	})
+	}
+	var err error
+	if s.quiescing {
+		err = s.doQuiet(flush)
+	} else {
+		err = s.do(flush)
+	}
 	if s.coalescer != nil && err == nil {
 		// Feed the tuner the whole flush — queue depth, payload, and
 		// end-to-end latency including any retries — and adopt its
@@ -1406,7 +1412,15 @@ func (s *Session) Free(p gpu.Ptr) error {
 		// server's own verdict.
 		return s.do(func(c *Client) error { return c.Free(s.translate(p)) })
 	}
-	err := s.do(func(c *Client) error { return c.Free(a.srv) })
+	lost := false // the last attempt's reply died with its connection
+	err := s.do(func(c *Client) error {
+		err := c.Free(a.srv)
+		if lost && errors.Is(err, cuda.ErrorInvalidDevicePointer) {
+			err = nil // retried where the pointer is gone (no replay): that attempt freed it
+		}
+		lost = oncrpc.IsTransportError(err)
+		return err
+	})
 	if err == nil {
 		delete(s.allocs, p)
 	}
@@ -1787,24 +1801,19 @@ func (s *Session) LaunchKernel(f cuda.Function, grid, block gpu.Dim3, sharedMem 
 	}
 	s.markLaunchDirtyLocked(fn, args)
 	return s.do(func(c *Client) error {
-		buf := s.rewriteArgs(fn, args)
+		// Inside the retry loop: after a replay the same virtual buffer
+		// re-translates. The arena is idle: no flush runs in this call.
+		var buf []byte
+		s.argArena, buf = s.rewriteArgsInto(s.argArena[:0], fn, args)
 		return c.LaunchKernel(fn.srv, grid, block, sharedMem, s.stream(st), buf)
 	})
 }
 
-// rewriteArgs returns a copy of the argument buffer with virtual
-// device pointers translated to current server pointers. Rewriting
-// happens inside the retry loop: after a replay the same virtual
-// buffer re-translates against the new mappings.
-func (s *Session) rewriteArgs(fn *sessFunc, args []byte) []byte {
-	_, buf := s.rewriteArgsInto(nil, fn, args)
-	return buf
-}
-
-// rewriteArgsInto is rewriteArgs against a caller-owned arena: the
-// translated copy is appended to arena and the returned slice aliases
-// it, so a batch flush rewrites every launch in one reused buffer
-// instead of allocating per entry. Slices handed out before an arena
+// rewriteArgsInto returns a copy of the argument buffer with virtual
+// device pointers translated to current server pointers. The copy is
+// appended to arena, which the caller owns, and the returned slice
+// aliases it, so a batch flush rewrites every launch in one reused
+// buffer instead of allocating per entry. Slices handed out before an arena
 // regrowth stay valid — the old backing array is never written again.
 // Buffers needing no rewrite are returned as-is without copying.
 func (s *Session) rewriteArgsInto(arena []byte, fn *sessFunc, args []byte) ([]byte, []byte) {

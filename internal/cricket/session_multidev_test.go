@@ -326,7 +326,12 @@ func TestSessionTwoDeviceBatchedMigrate(t *testing.T) {
 // on the session's BATCH_EXEC enqueue path under a decode-loop shape:
 // thousands of tiny launches reusing the same argument buffer. Once
 // the queue and arg arena have reached their high-water mark, an
-// enqueue that does not trigger a flush must not allocate.
+// enqueue that does not trigger a flush must not allocate. The same
+// launch is then pinned on the other paths it can take, counting the
+// client and the server's side of the pipe together: unbatched it
+// allocates nothing from the session down to the kernel, a flush of
+// 32 allocates only the three vectors that carry its entries and
+// statuses, and the runtime's own launch nothing.
 func TestSessionBatchEnqueueZeroAlloc(t *testing.T) {
 	e := newSessEnv(t, "")
 	const batch = 256
@@ -378,7 +383,58 @@ func TestSessionBatchEnqueueZeroAlloc(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	flush32 := func() {
+		for i := 0; i < 32; i++ {
+			launch()
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, flush32); allocs > 4 {
+		t.Errorf("32 launches and their flush allocate %.1f times, want at most 4", allocs)
+	}
 	if err := s.DeviceSynchronize(); err != nil {
 		t.Fatal(err)
+	}
+
+	// The same launch unbatched, on the same server: the session has
+	// the module's parameter metadata, so the pointers are rewritten.
+	s = newBatchSession(t, e, 0, nil)
+	if m, err = s.ModuleLoad(builtinFatbin()); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = s.ModuleGetFunction(m, cuda.KernelVectorAdd); err != nil {
+		t.Fatal(err)
+	}
+	a, _ = s.Malloc(n * 4)
+	b, _ = s.Malloc(n * 4)
+	out, _ = s.Malloc(n * 4)
+	args = cuda.NewArgBuffer().Ptr(a).Ptr(b).Ptr(out).I32(n).Bytes()
+	if allocs := testing.AllocsPerRun(100, launch); allocs != 0 {
+		t.Errorf("unbatched launch allocates %.1f/op between session and kernel, want 0", allocs)
+	}
+
+	rm, _, err := e.rt.ModuleLoad(builtinFatbin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf, _, err := e.rt.ModuleGetFunction(rm, cuda.KernelVectorAdd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ptr [3]gpu.Ptr
+	for i := range ptr {
+		if ptr[i], _, err = e.rt.Malloc(n * 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rargs := cuda.NewArgBuffer().Ptr(ptr[0]).Ptr(ptr[1]).Ptr(ptr[2]).I32(n).Bytes()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.rt.LaunchKernel(rf, grid, block, 0, 0, rargs); err != nil {
+			t.Fatalf("runtime launch: %v", err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Runtime.LaunchKernel allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"cricket/internal/cuda"
 	"cricket/internal/gpu"
 	"cricket/internal/guest"
+	"cricket/internal/netsim"
 	"cricket/internal/oncrpc"
 )
 
@@ -404,7 +406,7 @@ func TestConnectClosesClientWhenTransferSetupFails(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		// A server with no Cricket program: MT_SET_TRANSFER is
 		// rejected at the RPC layer and Connect must fail — without
-		// leaking the client's readLoop goroutine or the connection.
+		// leaking the connection or a goroutine serving it.
 		cliConn, srvConn := net.Pipe()
 		rpcSrv := oncrpc.NewServer()
 		go rpcSrv.ServeConn(srvConn)
@@ -910,5 +912,50 @@ func TestSessionCallAndBulkTimeouts(t *testing.T) {
 	}
 	if st := s.SessionStats(); st.Reconnects != 0 || st.DialAttempts != 1 {
 		t.Fatalf("deadline expiry treated as a transport error: %+v", st)
+	}
+}
+
+// TestSessionFreeSurvivesLostReply: a cudaFree that ran on the server
+// but whose reply died with the connection is retried after the
+// reconnect, on a lease that no longer holds the pointer. That is not
+// the application's error: Free succeeds, one free happened, and the
+// session goes on.
+func TestSessionFreeSurvivesLostReply(t *testing.T) {
+	run := func(wrap func(io.ReadWriteCloser) io.ReadWriteCloser, beforeFree func()) *Session {
+		s := newBatchSession(t, newSessEnv(t, ""), 0, wrap)
+		p, err := s.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Memset(p, 1, 4096); err != nil {
+			t.Fatal(err)
+		}
+		beforeFree()
+		if err := s.Free(p); err != nil {
+			t.Fatalf("Free: %v", err)
+		}
+		if q, err := s.Malloc(4096); err != nil || s.Free(q) != nil {
+			t.Fatalf("malloc and free after the free: %v", err)
+		}
+		return s
+	}
+	// Fault-free twin: the bytes moved by the time Free is called.
+	var moved atomic.Int64
+	var freeAt int64
+	run(func(conn io.ReadWriteCloser) io.ReadWriteCloser {
+		return countConn{ReadWriteCloser: conn, n: &moved}
+	}, func() { freeAt = moved.Load() })
+
+	// The call record is mark, header and the pointer, 52 bytes: the
+	// transport dies ten bytes into the reply.
+	var dials atomic.Int32
+	s := run(func(conn io.ReadWriteCloser) io.ReadWriteCloser {
+		if dials.Add(1) > 1 {
+			return conn
+		}
+		return netsim.NewFaultConn(conn, netsim.Fault{AfterBytes: freeAt + 52 + 10, Kind: netsim.FaultDrop})
+	}, func() {})
+	if st := s.SessionStats(); st.Reconnects != 1 || st.Replays != 0 {
+		t.Fatalf("%d reconnects, %d replays: the fault did not fall in the free's reply", st.Reconnects, st.Replays)
 	}
 }

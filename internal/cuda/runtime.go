@@ -72,6 +72,7 @@ type moduleState struct {
 type funcState struct {
 	mod    Module
 	kernel *cubin.KernelDesc
+	layout []gpu.ArgSlot // kernel.Params as the device reads them
 }
 
 type streamState struct {
@@ -576,7 +577,11 @@ func (r *Runtime) ModuleGetFunction(m Module, name string) (Function, time.Durat
 	}
 	r.nextID++
 	h := Function(r.nextID)
-	r.functions[h] = &funcState{mod: m, kernel: k}
+	layout := make([]gpu.ArgSlot, len(k.Params))
+	for i, p := range k.Params {
+		layout[i] = gpu.ArgSlot{Off: p.Offset, Size: p.Size, Pointer: p.Kind == cubin.ParamPointer}
+	}
+	r.functions[h] = &funcState{mod: m, kernel: k, layout: layout}
 	return h, r.charge(600 * time.Nanosecond), nil
 }
 
@@ -613,12 +618,8 @@ func (r *Runtime) LaunchKernel(f Function, grid, block gpu.Dim3, sharedMem uint3
 	}
 	ms := r.modules[fs.mod]
 	dev := r.devices[ms.dev]
-	layout := make([]gpu.ArgSlot, len(fs.kernel.Params))
-	for i, p := range fs.kernel.Params {
-		layout[i] = gpu.ArgSlot{Off: p.Offset, Size: p.Size, Pointer: p.Kind == cubin.ParamPointer}
-	}
 	cfg := gpu.LaunchConfig{Grid: grid, Block: block, SharedMem: sharedMem + fs.kernel.SharedMem}
-	dur, err := dev.Launch(fs.kernel.Name, cfg, argBuf, layout)
+	dur, err := dev.Launch(fs.kernel.Name, cfg, argBuf, fs.layout)
 	if err != nil {
 		var code Error
 		switch {

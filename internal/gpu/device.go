@@ -75,6 +75,11 @@ type Device struct {
 	flopsTotal float64
 	timingOnly bool
 	snapBudget uint64 // max bytes a Snapshot may stage; 0 = unlimited
+
+	// What a launch hands its kernel, reused from launch to launch
+	// under mu: both are only valid while the kernel runs.
+	args Args
+	kmem Mem
 }
 
 // SetTimingOnly switches the device between full functional execution
@@ -255,17 +260,12 @@ type ArgSlot struct {
 }
 
 // Args decodes a kernel argument buffer according to the parameter
-// layout extracted from the kernel's cubin metadata.
+// layout extracted from the kernel's cubin metadata. Offsets and sizes
+// are validated against the buffer at access time. Like Mem, it is
+// only valid for the duration of the kernel invocation.
 type Args struct {
 	buf     []byte
 	offsets []ArgSlot
-}
-
-// NewArgs builds an argument reader from raw bytes with an explicit
-// layout. Offsets and sizes are validated against the buffer at
-// access time.
-func NewArgs(buf []byte, layout []ArgSlot) *Args {
-	return &Args{buf: buf, offsets: layout}
 }
 
 // Len reports the number of declared parameters.
@@ -331,9 +331,11 @@ func (d *Device) Launch(name string, cfg LaunchConfig, argBuf []byte, layout []A
 	if err := d.validate(cfg); err != nil {
 		return 0, err
 	}
-	args := NewArgs(argBuf, layout)
+	d.args, d.kmem = Args{buf: argBuf, offsets: layout}, Mem{m: d.mem}
+	args := &d.args
+	defer func() { d.args = Args{} }() // argBuf is the caller's again
 	if !d.timingOnly {
-		if err := k.Fn(&Mem{m: d.mem}, cfg, args); err != nil {
+		if err := k.Fn(&d.kmem, cfg, args); err != nil {
 			return 0, err
 		}
 	}

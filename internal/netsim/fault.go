@@ -3,6 +3,7 @@ package netsim
 import (
 	"io"
 	"math/rand"
+	"net"
 	"sort"
 	"sync"
 	"time"
@@ -159,6 +160,31 @@ func (c *FaultConn) Write(p []byte) (int, error) {
 	}
 	return c.inner.Write(p)
 }
+
+// WriteBuffers is Write for a gathered write (see
+// CountingConn.WriteBuffers). A vector that ends before the next fault
+// goes on to the wrapped transport whole; one a fault falls inside is
+// written buffer by buffer, so that Write decides where it is cut.
+func (c *FaultConn) WriteBuffers(v *net.Buffers) (int64, error) {
+	total := int64(0)
+	for _, b := range *v {
+		total += int64(len(b))
+	}
+	c.mu.Lock()
+	whole := !c.dropped && (len(c.queue) == 0 || c.total+total < c.queue[0].AfterBytes)
+	if whole {
+		c.total += total
+	}
+	c.mu.Unlock()
+	if whole {
+		return writeBuffers(c.inner, v)
+	}
+	return v.WriteTo(c)
+}
+
+// SetReadDeadline passes a read deadline on to the wrapped transport
+// (see CountingConn.SetReadDeadline). A stall is not cut short by it.
+func (c *FaultConn) SetReadDeadline(t time.Time) error { return setReadDeadline(c.inner, t) }
 
 // Read implements io.Reader. A drop threshold crossed by a read lets
 // the bytes up to the threshold through, then kills the transport.

@@ -1,12 +1,14 @@
 package oncrpc
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,9 +42,15 @@ func IsTransportError(err error) bool {
 // single stream transport. It is safe for concurrent use: calls are
 // multiplexed by transaction id, so several goroutines may have calls
 // in flight simultaneously.
+//
+// The client has no goroutine of its own: a caller that finds nobody
+// reading the connection takes the reader role and reads it itself
+// (await), and decodes its reply out of the connection's record buffer
+// before it gives the role up.
 type Client struct {
 	prog, vers uint32
 	conn       io.ReadWriteCloser
+	dl         readDeadliner // conn, when it takes read deadlines
 	xid        atomic.Uint32
 
 	trace atomic.Pointer[ClientTrace]
@@ -57,36 +65,47 @@ type Client struct {
 	enc *xdr.Encoder // reusable encoder over wb, guarded by wmu
 	tid [8]byte      // AUTH_TRACE credential scratch, guarded by wmu
 
-	mu      sync.Mutex
-	pending map[uint32]chan []byte
+	mu   sync.Mutex
+	turn sync.Cond // wakes waiting callers: the role came free, a reply was parked, the client failed, a context ended
+	// pending holds a call from before its record is written until its
+	// caller leaves: nil while the reply is awaited, a copy of the reply
+	// once another caller has read it, abandoned when the caller gave
+	// up on a call whose record went out.
+	pending map[uint32][]byte
+	owed    int    // abandoned calls in pending: replies still to be read and dropped
+	reading bool   // a goroutine holds the reader role; rr and dec are its alone
+	reader  uint32 // xid of the call it belongs to: interrupt's target (a stale match interrupts a read that then resumes)
+	poked   bool   // a past read deadline is set, to interrupt the reader
+	drainer bool   // the drain goroutine exists
 	closed  bool
-	readErr error
-
-	// The read loop reads every reply into one buffer and lends it to
-	// the call the reply belongs to; the caller hands it back on lent
-	// once the reply is decoded (giveBack), and only then is the next
-	// record read into it. closing lets Close end the loop while the
-	// buffer is out.
-	lent    chan []byte
-	closing chan struct{}
-	done    chan struct{}
+	err     error // why no call can succeed any more
+	rr      *RecordReader
+	dec     *xdr.Decoder
 }
 
+type readDeadliner interface {
+	SetReadDeadline(time.Time) error
+}
+
+var abandoned = []byte{} // see Client.pending
+
 // NewClient returns a Client for program prog, version vers, speaking
-// over conn. The client owns conn and closes it on Close.
+// over conn. The client owns conn and closes it on Close. A call whose
+// context ends while it reads the connection interrupts its read with
+// conn's SetReadDeadline; if conn has none, or refuses, it closes conn.
 func NewClient(conn io.ReadWriteCloser, prog, vers uint32) *Client {
 	c := &Client{
 		prog:    prog,
 		vers:    vers,
 		conn:    conn,
 		rw:      NewRecordWriter(conn),
-		pending: make(map[uint32]chan []byte),
-		lent:    make(chan []byte, 1),
-		closing: make(chan struct{}),
-		done:    make(chan struct{}),
+		pending: make(map[uint32][]byte),
+		rr:      NewRecordReader(conn),
+		dec:     xdr.NewBytesDecoder(nil),
 	}
+	c.dl, _ = conn.(readDeadliner)
+	c.turn.L = &c.mu
 	c.xid.Store(uint32(time.Now().UnixNano())) // unpredictable-ish initial xid
-	go c.readLoop()
 	return c
 }
 
@@ -114,86 +133,6 @@ func (c *Client) SetFragmentSize(size int) {
 	c.wmu.Unlock()
 }
 
-func (c *Client) readLoop() {
-	rr := NewRecordReader(c.conn)
-	out := false // the record buffer is with a caller
-	// reclaim runs when the next record starts to arrive, so the loop
-	// waits for it on the connection, not on the previous caller.
-	reclaim := func() {
-		if !out {
-			return
-		}
-		out = false
-		select {
-		case rr.buf = <-c.lent:
-		case <-c.closing: // the buffer stays the caller's
-		}
-	}
-	for {
-		rec, err := rr.next(reclaim)
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-		if len(rec) < 4 {
-			continue // malformed record; drop
-		}
-		xid := binary.BigEndian.Uint32(rec)
-		c.mu.Lock()
-		ch, ok := c.pending[xid]
-		if ok {
-			delete(c.pending, xid)
-		}
-		c.mu.Unlock()
-		if ok {
-			out, rr.buf = true, nil
-			ch <- rec
-		}
-		// Replies to unknown xids (e.g. timed-out calls) are dropped.
-	}
-}
-
-// forget withdraws an abandoned call. If the read loop had already
-// taken the call's reply, the buffer is on its way on ch: the reply is
-// dropped and the buffer handed straight back.
-func (c *Client) forget(xid uint32, ch chan []byte) {
-	c.mu.Lock()
-	_, waiting := c.pending[xid]
-	delete(c.pending, xid)
-	c.mu.Unlock()
-	if !waiting {
-		if rec, ok := <-ch; ok {
-			c.giveBack(rec)
-		}
-	}
-}
-
-// giveBack returns the lent record buffer to the read loop, or lets
-// go of one grown past what a connection keeps between records.
-func (c *Client) giveBack(rec []byte) {
-	if cap(rec) > xdr.RetainMax {
-		rec = nil
-	}
-	c.lent <- rec
-}
-
-func (c *Client) failAll(err error) {
-	c.mu.Lock()
-	if c.readErr == nil {
-		if c.closed {
-			c.readErr = ErrClientClosed
-		} else {
-			c.readErr = fmt.Errorf("%w: %w", ErrTransport, err)
-		}
-	}
-	for xid, ch := range c.pending {
-		close(ch)
-		delete(c.pending, xid)
-	}
-	c.mu.Unlock()
-	close(c.done)
-}
-
 // Call invokes proc with the given arguments and decodes the results
 // into reply. Either may be nil for void argument/result types. Call
 // returns an *AcceptError or *DeniedError for protocol-level failures
@@ -203,93 +142,104 @@ func (c *Client) Call(proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) er
 	return c.CallContext(context.Background(), proc, args, reply)
 }
 
-// CallContext is Call with a per-call bound: the call fails once ctx
-// is cancelled or its deadline passes, without poisoning the
-// connection — the late reply, if any, is dropped by xid. Without a
-// deadline the call waits for as long as the connection lives.
+// CallContext is Do for arguments and results that marshal themselves.
+func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
+	var enc func(*xdr.Encoder) error
+	if args != nil {
+		enc = args.MarshalXDR
+	}
+	var dec func(*xdr.Decoder) error
+	if reply != nil {
+		dec = reply.UnmarshalXDR
+	}
+	return c.Do(ctx, proc, enc, dec)
+}
+
+// Do is the one way a call is made; the generated stubs use it
+// directly. args encodes the call's arguments behind its header and
+// reply decodes the results of a Success reply, out of the connection's
+// record buffer: it must not keep the decoder. Either may be nil, for
+// void, and neither is kept past Do.
+//
+// The call fails once ctx is cancelled or its deadline passes; the
+// connection survives and the late reply, if any, is dropped by xid.
 // Deadline expiry returns an error wrapping both ErrTimeout and
 // context.DeadlineExceeded; cancellation returns ctx.Err().
-func (c *Client) CallContext(ctx context.Context, proc uint32, args xdr.Marshaler, reply xdr.Unmarshaler) error {
+func (c *Client) Do(ctx context.Context, proc uint32, args func(*xdr.Encoder) error, reply func(*xdr.Decoder) error) error {
 	if err := ctx.Err(); err != nil {
 		return abandonErr(err)
 	}
-	// Tracing state: when a hook set is installed, Begin mints the id
-	// carried in the AUTH_TRACE credential and every completion path
-	// below reports back through End. The disabled path costs one
-	// atomic load and nil checks.
-	tr := c.trace.Load()
-	var tid uint64
-	var t0 time.Time
-	if tr != nil {
-		if tr.Begin != nil {
-			tid = tr.Begin(proc)
+	// When a hook set is installed, Begin mints the id carried in the
+	// AUTH_TRACE credential and every completion path reports back
+	// through End. The disabled path costs one atomic load and nil checks.
+	ct := callTrace{tr: c.trace.Load(), proc: proc}
+	if ct.tr != nil {
+		if ct.tr.Begin != nil {
+			ct.id = ct.tr.Begin(proc)
 		}
-		t0 = time.Now()
+		ct.t0 = time.Now()
 	}
 	xid := c.xid.Add(1)
-	ch := make(chan []byte, 1)
 
 	c.mu.Lock()
-	if c.closed || c.readErr != nil {
-		err := c.readErr
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
-		return traceEnd(tr, proc, tid, t0, 0, err)
+	err := c.err
+	if err == nil {
+		c.pending[xid] = nil
 	}
-	c.pending[xid] = ch
 	c.mu.Unlock()
-
-	encDur, err := c.send(xid, proc, args, tid, tr != nil)
-	if err != nil {
-		c.forget(xid, ch)
-		return traceEnd(tr, proc, tid, t0, encDur, err)
+	if err == nil {
+		err = c.send(xid, proc, args, &ct)
 	}
-
-	select {
-	case rec, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			return traceEnd(tr, proc, tid, t0, encDur, err)
-		}
-		var tw time.Time
-		if tr != nil {
-			tw = time.Now()
-		}
-		err := c.decodeReply(rec, reply)
-		c.giveBack(rec)
-		if tr != nil && tr.End != nil {
-			wire := tw.Sub(t0) - encDur
-			if wire < 0 {
-				wire = 0
-			}
-			tr.End(proc, tid, CallStages{Encode: encDur, Wire: wire, Decode: time.Since(tw)}, err)
-		}
-		return err
-	case <-ctx.Done():
-		c.forget(xid, ch)
-		return traceEnd(tr, proc, tid, t0, encDur, abandonErr(ctx.Err()))
-	case <-c.done:
+	switch {
+	case err != nil:
 		c.mu.Lock()
-		err := c.readErr
+		delete(c.pending, xid)
+		if errors.Is(err, ErrTransport) {
+			c.failLocked(err) // the record may be half out: nothing can follow it
+		}
 		c.mu.Unlock()
-		return traceEnd(tr, proc, tid, t0, encDur, err)
+	case ctx.Done() == nil:
+		return c.await(ctx, xid, reply, &ct)
+	default:
+		// A call that can end early has to be woken when it does.
+		stop := context.AfterFunc(ctx, func() { c.interrupt(xid) })
+		defer stop()
+		return c.await(ctx, xid, reply, &ct)
 	}
+	return ct.done(time.Time{}, err)
 }
 
-// traceEnd reports a call that ended without a decoded reply (or with
-// no tracing at all, in which case it just forwards err). The time
-// since t0 beyond the encode stage is attributed to the wire.
-func traceEnd(tr *ClientTrace, proc uint32, tid uint64, t0 time.Time, enc time.Duration, err error) error {
-	if tr != nil && tr.End != nil {
-		wire := time.Since(t0) - enc
-		if wire < 0 {
-			wire = 0
+// A callTrace is one call's tracing state, all zero when no hook set
+// is installed.
+type callTrace struct {
+	tr   *ClientTrace
+	proc uint32
+	id   uint64
+	t0   time.Time
+	enc  time.Duration
+}
+
+// now is the time, for a traced call.
+func (ct *callTrace) now() (t time.Time) {
+	if ct.tr != nil {
+		t = time.Now()
+	}
+	return t
+}
+
+// done reports the end of a call whose reply arrived at tw and was
+// decoded since or, tw zero, never arrived; the time from t0 to then
+// beyond the encode stage is the wire's. Untraced it just forwards err.
+func (ct *callTrace) done(tw time.Time, err error) error {
+	if ct.tr != nil && ct.tr.End != nil {
+		st := CallStages{Encode: ct.enc}
+		if tw.IsZero() {
+			tw = time.Now()
+		} else {
+			st.Decode = time.Since(tw)
 		}
-		tr.End(proc, tid, CallStages{Encode: enc, Wire: wire}, err)
+		st.Wire = max(tw.Sub(ct.t0)-ct.enc, 0)
+		ct.tr.End(ct.proc, ct.id, st, err)
 	}
 	return err
 }
@@ -304,17 +254,15 @@ func abandonErr(err error) error {
 }
 
 // send assembles and writes one call record. The credential is
-// AUTH_NONE, or when traced AUTH_TRACE carrying tid, and the returned
-// duration covers header+argument marshalling (the encode stage).
-func (c *Client) send(xid, proc uint32, args xdr.Marshaler, tid uint64, traced bool) (time.Duration, error) {
+// AUTH_NONE, or when traced AUTH_TRACE carrying the trace id; ct.enc
+// is set to the time header+argument marshalling took (the encode
+// stage). A failed write wraps ErrTransport.
+func (c *Client) send(xid, proc uint32, args func(*xdr.Encoder) error, ct *callTrace) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	// The call holds the caller's bulk arguments by reference only
 	// until its record is written (or it failed).
 	defer c.wb.Reset()
-	// The encoder is recycled across calls (it only holds a writer and
-	// running counters), so assembling a call allocates nothing beyond
-	// what the arguments themselves marshal.
 	if c.enc == nil {
 		c.enc = xdr.NewEncoder(&c.wb)
 	} else {
@@ -322,40 +270,187 @@ func (c *Client) send(xid, proc uint32, args xdr.Marshaler, tid uint64, traced b
 	}
 	e := c.enc
 	hdr := CallHeader{XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc}
-	var t0 time.Time
-	if traced {
-		// The credential scratch is guarded by wmu and MarshalXDR
-		// copies the body into the record buffer, so one array serves
-		// every call without allocating.
-		binary.BigEndian.PutUint64(c.tid[:], tid)
+	t0 := ct.now()
+	if ct.tr != nil {
+		// MarshalXDR copies the body, so one array serves every call.
+		binary.BigEndian.PutUint64(c.tid[:], ct.id)
 		hdr.Cred = OpaqueAuth{Flavor: AuthTrace, Body: c.tid[:]}
-		t0 = time.Now()
 	}
 	if err := hdr.MarshalXDR(e); err != nil {
-		return 0, err
+		return err
 	}
 	if args != nil {
-		if err := e.Marshal(args); err != nil {
-			return 0, err
+		if err := args(e); err != nil {
+			return err
+		}
+		if err := e.Err(); err != nil {
+			return err
 		}
 	}
-	var encDur time.Duration
-	if traced {
-		encDur = time.Since(t0)
+	if ct.tr != nil {
+		ct.enc = time.Since(t0)
 	}
-	if err := c.rw.WriteRecordv(c.wb.Spans()...); err != nil {
-		// A failed record write means the connection is gone (the
-		// record may be half-sent, so it cannot be reused either way).
-		return encDur, fmt.Errorf("%w: %w", ErrTransport, err)
+	if err := c.rw.write(c.wb.Framed(), true); err != nil {
+		return fmt.Errorf("%w: %w", ErrTransport, err)
 	}
-	return encDur, nil
+	return nil
 }
 
-// decodeReply decodes one reply record (the read loop matched its xid
-// to the call). The reply verifier is inspected even on in-band
+// await waits for the reply of call xid, whose record is out, and
+// decodes it. While nobody else reads the connection the caller does,
+// one record at a time: its own reply it decodes where it was read,
+// still holding the reader role, and leaves.
+func (c *Client) await(ctx context.Context, xid uint32, reply func(*xdr.Decoder) error, ct *callTrace) error {
+	c.mu.Lock()
+	for c.pending[xid] == nil && c.err == nil && ctx.Err() == nil {
+		if c.reading {
+			c.turn.Wait()
+			continue
+		}
+		c.reading, c.reader = true, xid
+		c.mu.Unlock()
+		rec, err := c.rr.next()
+		if err == nil && len(rec) >= 4 && binary.BigEndian.Uint32(rec) == xid {
+			tw := ct.now()
+			err = c.decodeReply(c.dec, rec, reply)
+			c.dec.ResetBytes(nil)
+			c.rr.trim()
+			c.mu.Lock()
+			delete(c.pending, xid)
+			c.releaseLocked()
+			c.mu.Unlock()
+			return ct.done(tw, err)
+		}
+		c.mu.Lock()
+		c.disposeLocked(rec, err)
+		c.releaseLocked() // and, the lock still held, take the role again unless this call is over
+	}
+	if rec := c.pending[xid]; len(rec) > 0 {
+		// Another caller read the reply and left a copy.
+		delete(c.pending, xid)
+		c.mu.Unlock()
+		tw := ct.now()
+		return ct.done(tw, c.decodeReply(xdr.NewBytesDecoder(nil), rec, reply))
+	}
+	err := c.err
+	if err == nil {
+		c.abandonLocked(xid)
+	} else {
+		delete(c.pending, xid)
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		err = abandonErr(cerr) // also when this call closed the connection to get out
+	}
+	c.mu.Unlock()
+	return ct.done(time.Time{}, err)
+}
+
+// disposeLocked deals with what the reader's last read returned when
+// that was not its own reply. A read interrupted by a deadline left the
+// reader's position intact (the call whose context ended notices by
+// itself); any other error fails the client. A reply another caller
+// waits for is copied and left for it, one owed to an abandoned call is
+// crossed off, anything else dropped. Called with the reader role held.
+func (c *Client) disposeLocked(rec []byte, err error) {
+	switch {
+	case err != nil && c.poked && errors.Is(err, os.ErrDeadlineExceeded):
+	case err != nil:
+		c.failLocked(fmt.Errorf("%w: %w", ErrTransport, err))
+	case len(rec) >= 4:
+		xid := binary.BigEndian.Uint32(rec)
+		if prev, ok := c.pending[xid]; ok && prev == nil {
+			c.pending[xid] = bytes.Clone(rec)
+		} else if ok && len(prev) == 0 {
+			delete(c.pending, xid)
+			c.owed--
+		}
+		c.rr.trim()
+	}
+}
+
+// interrupt runs when the context of call xid ends while the call
+// waits: if the call is reading the connection its read is interrupted
+// with a read deadline in the past — or, on a transport that takes
+// none, by shutting it — and if it is waiting its turn it is woken.
+func (c *Client) interrupt(xid uint32) {
+	c.mu.Lock()
+	if c.reading && c.reader == xid && c.err == nil {
+		c.poked = true
+		if c.dl == nil || c.dl.SetReadDeadline(time.Unix(1, 0)) != nil {
+			c.failLocked(fmt.Errorf("%w: closed to end a call on a transport without read deadlines", ErrTransport))
+			c.conn.Close()
+		}
+	}
+	c.turn.Broadcast()
+	c.mu.Unlock()
+}
+
+// releaseLocked gives the reader role up, takes back the deadline that
+// interrupted its holder, and lets the waiting callers (and drain)
+// compete for it.
+func (c *Client) releaseLocked() {
+	if c.poked && c.dl != nil {
+		c.dl.SetReadDeadline(time.Time{})
+	}
+	c.reading, c.reader, c.poked = false, 0, false
+	c.turn.Broadcast()
+}
+
+// abandonLocked leaves call xid, whose record went out, unanswered. The
+// server still owes its reply and, over a pipe, cannot take the next
+// call until someone has read it: callers that read do so on their way,
+// drain does when there are none.
+func (c *Client) abandonLocked(xid uint32) {
+	c.pending[xid] = abandoned
+	c.owed++
+	if !c.drainer {
+		c.drainer = true
+		go c.drain()
+	}
+}
+
+// drain stands in as reader for abandoned calls: whenever nobody else
+// is reading it does, a record at a time, until every reply owed has
+// come or the client has failed. There is at most one per client, and
+// none while no abandoned call is outstanding.
+func (c *Client) drain() {
+	c.mu.Lock()
+	for c.owed > 0 {
+		if c.reading {
+			c.turn.Wait()
+			continue
+		}
+		c.reading = true
+		c.mu.Unlock()
+		rec, err := c.rr.next()
+		c.mu.Lock()
+		c.disposeLocked(rec, err)
+		c.releaseLocked()
+	}
+	c.drainer = false
+	c.mu.Unlock()
+}
+
+// failLocked makes err, unless an earlier failure already is, the fate
+// of every call without a reply yet. No reply is owed any more.
+func (c *Client) failLocked(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	for xid, rec := range c.pending {
+		if rec != nil && len(rec) == 0 {
+			delete(c.pending, xid)
+		}
+	}
+	c.owed = 0
+	c.turn.Broadcast()
+}
+
+// decodeReply decodes the reply record rec with d (the reader matched
+// its xid to the call). The reply verifier is inspected even on in-band
 // failures, so a backpressure hint riding a shed reply is kept.
-func (c *Client) decodeReply(rec []byte, reply xdr.Unmarshaler) error {
-	d := xdr.NewBytesDecoder(rec)
+func (c *Client) decodeReply(d *xdr.Decoder, rec []byte, reply func(*xdr.Decoder) error) error {
+	d.ResetBytes(rec)
 	var hdr ReplyHeader
 	if err := hdr.UnmarshalXDR(d); err != nil {
 		return err
@@ -367,9 +462,11 @@ func (c *Client) decodeReply(rec []byte, reply xdr.Unmarshaler) error {
 		return err
 	}
 	if reply != nil {
-		return d.Unmarshal(reply)
+		if err := reply(d); err != nil {
+			return err
+		}
 	}
-	return nil
+	return d.Err()
 }
 
 // TakeRetryHint consumes and returns the most recent AUTH_RETRY
@@ -389,9 +486,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.failLocked(ErrClientClosed)
 	c.mu.Unlock()
-	close(c.closing)
-	err := c.conn.Close()
-	<-c.done // wait for readLoop to drain and fail pending calls
-	return err
+	return c.conn.Close()
 }

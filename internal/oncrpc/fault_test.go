@@ -194,7 +194,7 @@ func TestNoGoroutineLeaksAcrossClientLifecycles(t *testing.T) {
 	// Allow the runtime a moment to retire exiting goroutines.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
+		if runtime.NumGoroutine() <= before {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

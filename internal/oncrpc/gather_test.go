@@ -28,7 +28,7 @@ func pattern(n, seed int) []byte {
 }
 
 // TestGatheredRecordMatchesStaged is the wire-identity property: a call
-// assembled in a gather sink and written with WriteRecordv is, byte for
+// assembled in a gather sink and written framed is, byte for
 // byte and fragment mark for fragment mark, the call staged in one
 // buffer and written with WriteRecord — for payloads on both sides of
 // the by-reference size and of every fragment boundary.
@@ -62,7 +62,7 @@ func TestGatheredRecordMatchesStaged(t *testing.T) {
 			encode(&g)
 			rw = NewRecordWriter(&gatheredWire)
 			rw.SetFragmentSize(frag)
-			if err := rw.WriteRecordv(g.Spans()...); err != nil {
+			if err := rw.write(g.Framed(), true); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gatheredWire.Bytes(), stagedWire.Bytes()) {
@@ -161,11 +161,11 @@ func (c hookedCtx) Err() error {
 	}
 }
 
-// TestAbandonedCallHandsLentBufferBack: a call cancelled at the very
-// moment its reply arrives either takes the reply or drops it, and in
-// both cases the read loop gets its buffer back — the next call on the
-// connection completes.
-func TestAbandonedCallHandsLentBufferBack(t *testing.T) {
+// TestAbandonedCallLeavesConnectionUsable: a call cancelled at the very
+// moment its reply arrives either takes the reply or leaves it to be
+// dropped, and in both cases the reader role and the record buffer are
+// free again — the next call on the connection completes.
+func TestAbandonedCallLeavesConnectionUsable(t *testing.T) {
 	cancels := make(chan chan struct{}, 1)
 	srv := NewServer()
 	srv.Register(testProg, testVers, DispatcherFunc(func(proc uint32, dec *xdr.Decoder, enc *xdr.Encoder) error {
@@ -214,7 +214,7 @@ func TestAbandonedCallHandsLentBufferBack(t *testing.T) {
 	case <-finished:
 		t.Logf("%d replies taken, %d dropped", taken, dropped)
 	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: the read loop never got its buffer back")
+		t.Fatal("deadlock: nobody reads the connection any more")
 	}
 }
 
@@ -289,7 +289,8 @@ func TestDeadlinesMidReplyOnSharedClient(t *testing.T) {
 }
 
 // slowBlob is a reply that stalls in the middle of being decoded, so
-// the test can act while its caller holds the lent record buffer.
+// the test can act while its caller, still the reader, decodes out of
+// the connection's record buffer.
 type slowBlob struct {
 	blob
 	entered, release chan struct{}
@@ -301,11 +302,12 @@ func (b *slowBlob) UnmarshalXDR(d *xdr.Decoder) error {
 	return b.blob.UnmarshalXDR(d)
 }
 
-// TestCloseWhileBufferIsLent: Close returns although one caller is
-// still decoding out of the lent buffer and the read loop is waiting,
-// next record half-read, to get it back; the slow caller's reply is
-// not overwritten, the waiting call fails, and no goroutine is left.
-func TestCloseWhileBufferIsLent(t *testing.T) {
+// TestCloseWhileReplyIsDecoded: Close returns although one caller is
+// still decoding in place, holding the reader role, and another waits
+// for the role with its reply unread on the connection; the slow
+// caller's reply is not overwritten, the waiting call fails, and no
+// goroutine is left.
+func TestCloseWhileReplyIsDecoded(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv := NewServer()
 	srv.Register(testProg, testVers, DispatcherFunc(testDispatcher))
@@ -319,24 +321,24 @@ func TestCloseWhileBufferIsLent(t *testing.T) {
 	slowErr := make(chan error, 1)
 	go func() { slowErr <- c.Call(procEcho, &in, slow) }()
 	<-slow.entered
-	// A second reply now arrives; the read loop takes its mark and
-	// blocks until the buffer comes back.
+	// A second call goes out; its reply stays on the connection, and
+	// its caller in line for the reader role.
 	otherErr := make(chan error, 1)
 	go func() {
 		var out blob
 		otherErr <- c.Call(procEcho, &blob{B: pattern(50<<10, 6)}, &out)
 	}()
-	time.Sleep(20 * time.Millisecond) // let that reply reach the read loop
+	time.Sleep(20 * time.Millisecond) // let that caller get in line
 
 	closed := make(chan error, 1)
 	go func() { closed <- c.Close() }()
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return while a buffer was lent")
+		t.Fatal("Close did not return while a reply was being decoded")
 	}
 	if err := <-otherErr; !IsTransportError(err) {
-		t.Fatalf("call waiting behind the lent buffer: %v, want a transport error", err)
+		t.Fatalf("call waiting behind the decoding reader: %v, want a transport error", err)
 	}
 	close(slow.release)
 	if err := <-slowErr; err != nil || !bytes.Equal(slow.B, in.B) {
@@ -347,8 +349,8 @@ func TestCloseWhileBufferIsLent(t *testing.T) {
 	waitFor(t, "goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
-// TestClientDropsOversizedRecordBuffer: the read loop keeps its buffer
-// between replies only up to xdr.RetainMax.
+// TestClientDropsOversizedRecordBuffer: the client keeps its record
+// buffer between replies only up to xdr.RetainMax.
 func TestClientDropsOversizedRecordBuffer(t *testing.T) {
 	c := newTestPair(t, testVers)
 	heap := func() uint64 {

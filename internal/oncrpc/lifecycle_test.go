@@ -190,6 +190,9 @@ func TestConcurrentServeConnCloseSetTrace(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
+			// As Serve does: a connection the closed server refuses must
+			// not be left open, or the client's write never returns.
+			defer srvConn.Close()
 			srv.ServeConn(srvConn)
 		}()
 		go func() {

@@ -31,7 +31,7 @@ const (
 	// trace id in the credential body, joining client and server spans
 	// of one call. RFC 5531 reserves the flavor number space beyond
 	// the IANA-assigned mechanisms; servers that do not understand the
-	// flavor treat the credential as opaque AUTH_NONE-equivalent.
+	// flavor treat the credential as they treat AUTH_NONE.
 	AuthTrace AuthFlavor = 0x43525458 // "CRTX"
 	// AuthRetry is a private-use flavor carried in a *reply verifier*:
 	// an 8-byte big-endian retry-after hint in nanoseconds. An

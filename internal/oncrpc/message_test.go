@@ -12,16 +12,23 @@ import (
 func unmarshalAll(t *testing.T, data []byte, v xdr.Unmarshaler) {
 	t.Helper()
 	d := xdr.NewBytesDecoder(data)
-	if err := d.Unmarshal(v); err != nil || d.Len() != int64(len(data)) {
+	if err := v.UnmarshalXDR(d); err != nil || d.Len() != int64(len(data)) {
 		t.Fatalf("decoding %T: %v, %d of %d bytes consumed", v, err, d.Len(), len(data))
 	}
+}
+
+// marshal encodes v into a fresh byte slice.
+func marshal(v xdr.Marshaler) ([]byte, error) {
+	var buf bytes.Buffer
+	err := v.MarshalXDR(xdr.NewEncoder(&buf))
+	return buf.Bytes(), err
 }
 
 func TestCallHeaderRoundTrip(t *testing.T) {
 	// A 7-byte body, so the opaque-auth encoding pads.
 	cred := OpaqueAuth{Flavor: AuthTrace, Body: []byte("trace-7")}
 	in := CallHeader{XID: 0xdeadbeef, Prog: 99449, Vers: 1, Proc: 42, Cred: cred}
-	data, err := xdr.Marshal(&in)
+	data, err := marshal(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,26 +50,26 @@ func TestCallHeaderRoundTrip(t *testing.T) {
 
 func TestCallHeaderRejectsReplyType(t *testing.T) {
 	hdr := ReplyHeader{XID: 5, Stat: MsgAccepted, AccStat: Success}
-	data, err := xdr.Marshal(&hdr)
+	data, err := marshal(&hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var call CallHeader
-	if err := xdr.Unmarshal(data, &call); err == nil {
+	if err := (&call).UnmarshalXDR(xdr.NewBytesDecoder(data)); err == nil {
 		t.Fatal("decoding a reply as a call must fail")
 	}
 }
 
 func TestCallHeaderRejectsBadRPCVersion(t *testing.T) {
 	in := CallHeader{XID: 1, Prog: 2, Vers: 3, Proc: 4}
-	data, err := xdr.Marshal(&in)
+	data, err := marshal(&in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// rpcvers is the third word; corrupt it.
 	data[11] = 9
 	var out CallHeader
-	err = xdr.Unmarshal(data, &out)
+	err = (&out).UnmarshalXDR(xdr.NewBytesDecoder(data))
 	var ve *VersionError
 	if !errors.As(err, &ve) || ve.Got != 9 {
 		t.Fatalf("err = %v, want VersionError{9}", err)
@@ -81,7 +88,7 @@ func TestReplyHeaderRoundTripVariants(t *testing.T) {
 		{XID: 8, Stat: MsgDenied, RejStat: AuthError, AuthStat: AuthBadCred},
 	}
 	for _, in := range cases {
-		data, err := xdr.Marshal(&in)
+		data, err := marshal(&in)
 		if err != nil {
 			t.Fatalf("%+v: %v", in, err)
 		}
@@ -113,19 +120,19 @@ func TestReplyHeaderErr(t *testing.T) {
 
 func TestAuthBodyLimit(t *testing.T) {
 	a := OpaqueAuth{Flavor: AuthNone, Body: make([]byte, maxAuthBody+1)}
-	if _, err := xdr.Marshal(&a); err == nil {
+	if _, err := marshal(&a); err == nil {
 		t.Fatal("oversized auth body must fail to encode")
 	}
 	// Craft an oversized wire body and verify decode rejects it.
 	big := OpaqueAuth{Flavor: AuthNone, Body: make([]byte, maxAuthBody)}
-	data, err := xdr.Marshal(&big)
+	data, err := marshal(&big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[6] = 0x01
 	data[7] = 0x94 // length field 404, past the 400-byte limit
 	var out OpaqueAuth
-	if err := xdr.Unmarshal(data, &out); err == nil {
+	if err := (&out).UnmarshalXDR(xdr.NewBytesDecoder(data)); err == nil {
 		t.Fatal("oversized auth body must fail to decode")
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+
+	"cricket/internal/xdr"
 )
 
 func TestRecordRoundTripSingleFragment(t *testing.T) {
@@ -241,13 +243,16 @@ func TestQuickRecordSequence(t *testing.T) {
 }
 
 func TestRecordVectoredMatchesContiguous(t *testing.T) {
-	// WriteRecordv over any split of the payload must emit exactly
+	// A gathered write over any split of the payload must emit exactly
 	// the bytes WriteRecord emits for the concatenation, including
-	// fragment boundaries that land mid-buffer.
+	// fragment boundaries that land mid-buffer — framed, with the first
+	// mark stamped into the headroom, or not — and only ever write
+	// into that headroom.
 	payload := make([]byte, 1000)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
+	pristine := bytes.Clone(payload)
 	splits := [][]int{
 		{1000},
 		{0, 1000, 0},
@@ -270,14 +275,23 @@ func TestRecordVectoredMatchesContiguous(t *testing.T) {
 				bufs = append(bufs, payload[off:off+n])
 				off += n
 			}
-			var got bytes.Buffer
+			var got, gotFramed bytes.Buffer
 			vw := NewRecordWriter(&got)
 			vw.SetFragmentSize(fragSize)
-			if err := vw.WriteRecordv(bufs...); err != nil {
+			if err := vw.write(bufs, false); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			framed := append([][]byte{append(make([]byte, xdr.Headroom), bufs[0]...)}, bufs[1:]...)
+			fw := NewRecordWriter(&gotFramed)
+			fw.SetFragmentSize(fragSize)
+			if err := fw.write(framed, true); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) || !bytes.Equal(gotFramed.Bytes(), want.Bytes()) {
 				t.Fatalf("fragSize=%d split=%v: vectored wire bytes differ", fragSize, split)
+			}
+			if !bytes.Equal(payload, pristine) || !bytes.Equal(framed[0][xdr.Headroom:], bufs[0]) {
+				t.Fatalf("fragSize=%d split=%v: a record mark was written into the payload", fragSize, split)
 			}
 			r := NewRecordReader(&got)
 			rec, err := r.ReadRecord()
@@ -294,14 +308,18 @@ func TestRecordVectoredMatchesContiguous(t *testing.T) {
 func TestRecordVectoredEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewRecordWriter(&buf)
-	if err := w.WriteRecordv(); err != nil {
+	if err := w.write(nil, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRecordv(nil, []byte{}); err != nil {
+	if err := w.write([][]byte{nil, {}}, false); err != nil {
+		t.Fatal(err)
+	}
+	var g xdr.Gather
+	if err := w.write(g.Framed(), true); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRecordReader(&buf)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		rec, err := r.ReadRecord()
 		if err != nil {
 			t.Fatal(err)

@@ -249,7 +249,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		// Every call of the connection is read into the reader's one
 		// buffer and decoded in place; the dispatcher is done with it
 		// when handleRecord returns.
-		rec, err := rr.next(nil)
+		rec, err := rr.next()
 		if err != nil {
 			if s.stopped() {
 				return ErrServerClosed
@@ -258,13 +258,11 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		}
 		s.setBusy(cs, true)
 		reply, err := s.handleRecord(rec, sc)
-		if err == nil {
-			err = rw.WriteRecordv(reply...)
+		if err == nil && reply != nil {
+			err = rw.write(reply, true)
 		}
 		sc.release()
-		if cap(rr.buf) > xdr.RetainMax {
-			rr.buf = nil
-		}
+		rr.trim()
 		s.setBusy(cs, false)
 		if err != nil {
 			if s.stopped() {
@@ -347,22 +345,22 @@ func newConnScratch() *connScratch {
 	return &connScratch{dec: xdr.NewBytesDecoder(nil), enc: xdr.NewEncoder(io.Discard)}
 }
 
-// replyWith completes the reply record with hdr and returns its spans:
-// the header and the results' small change in one, a bulk result in a
-// span of its own. Unless results is set, what the dispatcher encoded
-// is dropped.
+// replyWith completes the reply record with hdr and returns its spans,
+// framed for the record writer: the header and the results' small
+// change in one, a bulk result in a span of its own. Unless results is
+// set, what the dispatcher encoded is dropped.
 func (sc *connScratch) replyWith(hdr *ReplyHeader, results bool) ([][]byte, error) {
 	if !results {
 		sc.out.Reserve(maxReplyHeader)
 	}
 	sc.hdr.Reset()
-	if err := sc.encTo(&sc.hdr).Marshal(hdr); err != nil {
+	if err := hdr.MarshalXDR(sc.encTo(&sc.hdr)); err != nil {
 		return nil, err
 	}
 	if !sc.out.Prepend(sc.hdr.Bytes()) {
 		return nil, fmt.Errorf("oncrpc: %d-byte reply header", sc.hdr.Len())
 	}
-	return sc.out.Spans(), nil
+	return sc.out.Framed(), nil
 }
 
 // release lets go of the call record and of everything the last
@@ -419,8 +417,8 @@ func (s *Server) dispatcherFor(sc *connScratch, key progVers) (Dispatcher, bool)
 var AfterDispatchForTest func(rec []byte)
 
 // handleRecord processes one call record, decoding it in place, and
-// returns the spans of the complete reply record (none for a call
-// dropped without reply), using the connection's recycled scratch
+// returns the framed spans of the complete reply record (none for a
+// call dropped without reply), using the connection's recycled scratch
 // state. The spans are valid until sc.release.
 func (s *Server) handleRecord(rec []byte, sc *connScratch) ([][]byte, error) {
 	sc.dec.ResetBytes(rec)
@@ -529,7 +527,7 @@ func (s *Server) Close() error {
 // flight finish processing that call and write its reply before the
 // connection ends — a client never sees a mid-record reset. Shutdown
 // returns once every connection has drained, or ctx.Err() after
-// hard-closing the stragglers when ctx expires first. After Shutdown
+// the stragglers were closed hard because ctx expired first. After Shutdown
 // the server is closed: Serve returns ErrServerClosed and new
 // connections are refused.
 func (s *Server) Shutdown(ctx context.Context) error {

@@ -92,16 +92,6 @@ type generator struct {
 	opts GenOptions
 	syms *symtab
 	b    strings.Builder
-
-	needInt32Box  bool
-	needUint32Box bool
-	needInt64Box  bool
-	needUint64Box bool
-	needFloatBox  bool
-	needDoubleBox bool
-	needBoolBox   bool
-	needStringBox bool
-	needOpaqueBox bool
 }
 
 func (g *generator) pf(format string, args ...any) {
@@ -390,26 +380,17 @@ func (g *generator) run() ([]byte, error) {
 	g.pf("// Code generated by rpcgen (cricket/internal/rpcl); DO NOT EDIT.\n\n")
 	g.pf("package %s\n\n", g.opts.Package)
 
-	// Body first (into a separate builder) so we know which helper
-	// boxes are needed; imports depend only on static analysis, so we
-	// simply always import what the body may use and rely on the body
-	// referencing every import at least once via the var _ trick.
-	var body generator = *g
-	body.b = strings.Builder{}
-	body.emitConsts()
-	body.emitEnums()
-	body.emitTypedefs()
-	body.emitStructs()
-	body.emitUnions()
-	if err := body.emitPrograms(); err != nil {
-		return nil, err
-	}
-	body.emitBoxes()
-
 	g.pf("import (\n\t\"context\"\n\t\"fmt\"\n\n\t%q\n\t%q\n)\n\n", g.opts.RPCImport, g.opts.XDRImport)
 	g.pf("// Referenced unconditionally so specs that use only a subset of\n")
 	g.pf("// features still compile.\nvar (\n\t_ = context.Background\n\t_ = fmt.Errorf\n\t_ oncrpc.Dispatcher\n\t_ xdr.Marshaler\n)\n\n")
-	g.b.WriteString(body.b.String())
+	g.emitConsts()
+	g.emitEnums()
+	g.emitTypedefs()
+	g.emitStructs()
+	g.emitUnions()
+	if err := g.emitPrograms(); err != nil {
+		return nil, err
+	}
 	return []byte(g.b.String()), nil
 }
 
@@ -576,38 +557,6 @@ func (g *generator) emitUnions() {
 	}
 }
 
-// boxFor returns (boxType, fieldAccess) for a primitive return type,
-// marking the box as needed.
-func (g *generator) boxFor(ts *TypeSpec) (string, bool) {
-	switch ts.Kind {
-	case BaseInt:
-		g.needInt32Box = true
-		return "xdrInt32Box", true
-	case BaseUInt:
-		g.needUint32Box = true
-		return "xdrUint32Box", true
-	case BaseHyper:
-		g.needInt64Box = true
-		return "xdrInt64Box", true
-	case BaseUHyper:
-		g.needUint64Box = true
-		return "xdrUint64Box", true
-	case BaseFloat:
-		g.needFloatBox = true
-		return "xdrFloat32Box", true
-	case BaseDouble:
-		g.needDoubleBox = true
-		return "xdrFloat64Box", true
-	case BaseBool:
-		g.needBoolBox = true
-		return "xdrBoolBox", true
-	case BaseString:
-		g.needStringBox = true
-		return "xdrStringBox", true
-	}
-	return "", false
-}
-
 // goRetType maps a procedure return type spec to a Go type.
 func (g *generator) goRetType(ts *TypeSpec) string {
 	if ts.Kind == BaseVoid {
@@ -662,78 +611,51 @@ func (g *generator) emitVersion(prog *ProgramDef, v *VersionDef) error {
 
 	for _, p := range v.Procs {
 		mName := goName(p.Name)
-		argsType := "args" + versName + mName
-
-		// Argument struct (if any args).
-		var params, fields, assigns []string
+		var params, argNames []string
 		for i, a := range p.Args {
-			pn := fmt.Sprintf("a%d", i)
-			fn := fmt.Sprintf("A%d", i)
-			t := g.goType(a)
-			if a.Kind == BaseNamed && g.syms.enums[a.Name] {
-				t = goName(a.Name)
-			}
-			params = append(params, pn+" "+t)
-			fields = append(fields, fn+" "+t)
-			assigns = append(assigns, fn+": "+pn)
+			params = append(params, fmt.Sprintf("a%d %s", i, g.goRetType(a)))
+			argNames = append(argNames, fmt.Sprintf("a%d", i))
 		}
-		if len(p.Args) > 0 {
-			g.pf("type %s struct {\n", argsType)
-			for _, f := range fields {
-				g.pf("\t%s\n", f)
-			}
-			g.pf("}\n\n")
-			g.pf("func (v *%s) MarshalXDR(e *xdr.Encoder) error {\n", argsType)
-			for i, a := range p.Args {
-				g.encodeArgTS(a, fmt.Sprintf("v.A%d", i))
-			}
-			g.pf("return nil\n}\n\n")
-			g.pf("func (v *%s) UnmarshalXDR(d *xdr.Decoder) error {\n", argsType)
-			for i, a := range p.Args {
-				g.decodeArgTS(a, fmt.Sprintf("v.A%d", i))
-			}
-			g.pf("return nil\n}\n\n")
-		}
-
 		retType := g.goRetType(p.Ret)
-		// Client methods: a plain form that waits without bound, and a
-		// Context form carrying a per-call deadline.
-		argNames := make([]string, len(p.Args))
-		for i := range p.Args {
-			argNames[i] = fmt.Sprintf("a%d", i)
+		if p.Ret.Kind != BaseVoid && !g.isStructReturn(p.Ret) && !g.isScalar(p.Ret) {
+			return fmt.Errorf("rpcl: procedure %s: unsupported return type %s", p.Name, p.Ret)
 		}
-		passThrough := strings.Join(append([]string{"context.Background()"}, argNames...), ", ")
-		ctxParams := strings.Join(append([]string{"ctx context.Context"}, params...), ", ")
-		argsE := g.argsExpr(argsType, assigns, len(p.Args))
+		results, sig := "error", "error"
+		if retType != "" {
+			results, sig = fmt.Sprintf("(ret %s, err error)", retType), fmt.Sprintf("(%s, error)", retType)
+		}
+		handlerSigs = append(handlerSigs, fmt.Sprintf("%s(%s) %s", mName, strings.Join(params, ", "), sig))
+
+		// Client methods: a plain form that waits without bound, and a
+		// Context form carrying a per-call deadline. Arguments and
+		// results are coded by closures that stay on the stub's stack:
+		// a call allocates nothing for them.
 		g.pf("// %s invokes RPC procedure %s (%d).\n", mName, p.Name, p.Number)
-		switch {
-		case p.Ret.Kind == BaseVoid:
-			g.pf("func (c *%s) %s(%s) error {\n", cliName, mName, strings.Join(params, ", "))
-			g.pf("return c.%sContext(%s)\n}\n\n", mName, passThrough)
-			g.pf("// %sContext is %s bounded by a per-call context.\n", mName, mName)
-			g.pf("func (c *%s) %sContext(%s) error {\n", cliName, mName, ctxParams)
-			g.pf("return c.RPC.CallContext(ctx, Proc%s, %s, nil)\n}\n\n", mName, argsE)
-			handlerSigs = append(handlerSigs, fmt.Sprintf("%s(%s) error", mName, strings.Join(params, ", ")))
-		case g.isStructReturn(p.Ret):
-			g.pf("func (c *%s) %s(%s) (%s, error) {\n", cliName, mName, strings.Join(params, ", "), retType)
-			g.pf("return c.%sContext(%s)\n}\n\n", mName, passThrough)
-			g.pf("// %sContext is %s bounded by a per-call context.\n", mName, mName)
-			g.pf("func (c *%s) %sContext(%s) (%s, error) {\n", cliName, mName, ctxParams, retType)
-			g.pf("var ret %s\n", retType)
-			g.pf("err := c.RPC.CallContext(ctx, Proc%s, %s, &ret)\nreturn ret, err\n}\n\n", mName, argsE)
-			handlerSigs = append(handlerSigs, fmt.Sprintf("%s(%s) (%s, error)", mName, strings.Join(params, ", "), retType))
-		default:
-			box, ok := g.boxFor(g.effectiveTS(p.Ret))
-			if !ok {
-				return fmt.Errorf("rpcl: procedure %s: unsupported return type %s", p.Name, p.Ret)
+		g.pf("func (c *%s) %s(%s) %s {\n", cliName, mName, strings.Join(params, ", "), sig)
+		g.pf("return c.%sContext(%s)\n}\n\n", mName, strings.Join(append([]string{"context.Background()"}, argNames...), ", "))
+		g.pf("// %sContext is %s bounded by a per-call context.\n", mName, mName)
+		g.pf("func (c *%s) %sContext(%s) %s {\n", cliName, mName, strings.Join(append([]string{"ctx context.Context"}, params...), ", "), results)
+		if retType != "" {
+			g.pf("err = ")
+		} else {
+			g.pf("return ")
+		}
+		g.pf("c.RPC.Do(ctx, Proc%s, ", mName)
+		if len(p.Args) > 0 {
+			g.pf("func(e *xdr.Encoder) error {\n")
+			for i, a := range p.Args {
+				g.encodeArgTS(a, argNames[i])
 			}
-			g.pf("func (c *%s) %s(%s) (%s, error) {\n", cliName, mName, strings.Join(params, ", "), retType)
-			g.pf("return c.%sContext(%s)\n}\n\n", mName, passThrough)
-			g.pf("// %sContext is %s bounded by a per-call context.\n", mName, mName)
-			g.pf("func (c *%s) %sContext(%s) (%s, error) {\n", cliName, mName, ctxParams, retType)
-			g.pf("var ret %s\n", box)
-			g.pf("err := c.RPC.CallContext(ctx, Proc%s, %s, &ret)\nreturn %s(ret.V), err\n}\n\n", mName, argsE, retType)
-			handlerSigs = append(handlerSigs, fmt.Sprintf("%s(%s) (%s, error)", mName, strings.Join(params, ", "), retType))
+			g.pf("return nil\n}, ")
+		} else {
+			g.pf("nil, ")
+		}
+		if retType != "" {
+			g.pf("func(d *xdr.Decoder) error {\n")
+			g.decodeArgTS(p.Ret, "ret")
+			g.pf("return nil\n})\nreturn\n}\n\n")
+		} else {
+			g.pf("nil)\n}\n\n")
 		}
 	}
 
@@ -774,23 +696,23 @@ func (g *generator) emitVersion(prog *ProgramDef, v *VersionDef) error {
 	g.pf("switch proc {\n")
 	for _, p := range v.Procs {
 		mName := goName(p.Name)
-		argsType := "args" + versName + mName
 		g.pf("case Proc%s:\n", mName)
 		callArgs := make([]string, len(p.Args))
 		if len(p.Args) > 0 {
-			g.pf("var args %s\n", argsType)
-			g.pf("if err := args.UnmarshalXDR(d); err != nil { return fmt.Errorf(\"%%w: %%v\", oncrpc.ErrGarbageArgs, err) }\n")
-			for i := range p.Args {
-				callArgs[i] = fmt.Sprintf("args.A%d", i)
+			for i, a := range p.Args {
+				callArgs[i] = fmt.Sprintf("a%d", i)
+				g.pf("var %s %s\n", callArgs[i], g.goRetType(a))
 			}
+			g.pf("if err := func() error {\n")
+			for i, a := range p.Args {
+				g.decodeArgTS(a, callArgs[i])
+			}
+			g.pf("return nil\n}(); err != nil { return fmt.Errorf(\"%%w: %%v\", oncrpc.ErrGarbageArgs, err) }\n")
 		}
 		call := fmt.Sprintf("h.%s(%s)", mName, strings.Join(callArgs, ", "))
-		switch {
-		case p.Ret.Kind == BaseVoid:
+		if p.Ret.Kind == BaseVoid {
 			g.pf("return %s\n", call)
-		case g.isStructReturn(p.Ret):
-			g.pf("ret, err := %s\nif err != nil { return err }\nreturn (&ret).MarshalXDR(e)\n", call)
-		default:
+		} else {
 			g.pf("ret, err := %s\nif err != nil { return err }\n", call)
 			g.encodeArgTS(p.Ret, "ret")
 			g.pf("return nil\n")
@@ -800,12 +722,14 @@ func (g *generator) emitVersion(prog *ProgramDef, v *VersionDef) error {
 	return nil
 }
 
-// effectiveTS resolves enum-named types to int32 for boxing.
-func (g *generator) effectiveTS(ts *TypeSpec) *TypeSpec {
-	if ts.Kind == BaseNamed && g.syms.enums[ts.Name] {
-		return &TypeSpec{Kind: BaseInt}
+// isScalar reports whether a return type is one the decoder yields
+// directly: a number, a bool, a string or an enum.
+func (g *generator) isScalar(ts *TypeSpec) bool {
+	switch ts.Kind {
+	case BaseInt, BaseUInt, BaseHyper, BaseUHyper, BaseFloat, BaseDouble, BaseBool, BaseString:
+		return true
 	}
-	return ts
+	return ts.Kind == BaseNamed && g.syms.enums[ts.Name]
 }
 
 // isStructReturn reports whether a return type has its own XDR methods.
@@ -814,13 +738,6 @@ func (g *generator) isStructReturn(ts *TypeSpec) bool {
 		return false
 	}
 	return g.syms.structs[ts.Name] || g.syms.unions[ts.Name] || g.syms.typedefs[ts.Name] != nil
-}
-
-func (g *generator) argsExpr(argsType string, assigns []string, n int) string {
-	if n == 0 {
-		return "nil"
-	}
-	return "&" + argsType + "{" + strings.Join(assigns, ", ") + "}"
 }
 
 // encodeArgTS encodes a bare type-spec value (procedure arg/return).
@@ -839,40 +756,4 @@ func (g *generator) decodeArgTS(ts *TypeSpec, expr string) {
 		return
 	}
 	g.decodePlain(ts, expr)
-}
-
-func (g *generator) emitBoxes() {
-	box := func(name, typ, put, get, cast string) {
-		g.pf("type %s struct{ V %s }\n\n", name, typ)
-		g.pf("func (b *%s) MarshalXDR(e *xdr.Encoder) error { return e.%s(b.V) }\n\n", name, put)
-		if cast == "" {
-			g.pf("func (b *%s) UnmarshalXDR(d *xdr.Decoder) error { v, err := d.%s(); b.V = v; return err }\n\n", name, get)
-		} else {
-			g.pf("func (b *%s) UnmarshalXDR(d *xdr.Decoder) error { v, err := d.%s(); b.V = %s(v); return err }\n\n", name, get, cast)
-		}
-	}
-	if g.needInt32Box {
-		box("xdrInt32Box", "int32", "PutInt32", "Int32", "")
-	}
-	if g.needUint32Box {
-		box("xdrUint32Box", "uint32", "PutUint32", "Uint32", "")
-	}
-	if g.needInt64Box {
-		box("xdrInt64Box", "int64", "PutInt64", "Int64", "")
-	}
-	if g.needUint64Box {
-		box("xdrUint64Box", "uint64", "PutUint64", "Uint64", "")
-	}
-	if g.needFloatBox {
-		box("xdrFloat32Box", "float32", "PutFloat32", "Float32", "")
-	}
-	if g.needDoubleBox {
-		box("xdrFloat64Box", "float64", "PutFloat64", "Float64", "")
-	}
-	if g.needBoolBox {
-		box("xdrBoolBox", "bool", "PutBool", "Bool", "")
-	}
-	if g.needStringBox {
-		box("xdrStringBox", "string", "PutString", "String", "")
-	}
 }

@@ -162,7 +162,7 @@ func (e *Encoder) PutFloat64(v float64) error {
 // caller must leave p unchanged until the gathered spans are written.
 func (e *Encoder) PutFixedOpaque(p []byte) error {
 	if e.g != nil && len(p) >= GatherMin && e.err == nil {
-		e.g.refs = append(e.g.refs, spanRef{len(e.g.buf), p})
+		e.g.ref(p)
 		e.n += int64(len(p))
 	} else if err := e.write(p); err != nil {
 		return err
@@ -200,19 +200,6 @@ func (e *Encoder) PutString(s string) error {
 	}
 	if pad := Pad(len(s)); pad > 0 {
 		return e.write(zeroPad[:pad])
-	}
-	return e.err
-}
-
-// Marshal encodes v using its MarshalXDR method.
-func (e *Encoder) Marshal(v Marshaler) error {
-	if e.err != nil {
-		return e.err
-	}
-	if err := v.MarshalXDR(e); err != nil {
-		if e.err == nil {
-			e.err = err
-		}
 	}
 	return e.err
 }
@@ -445,17 +432,4 @@ func (d *Decoder) String() (string, error) {
 		return "", err
 	}
 	return string(p), nil
-}
-
-// Unmarshal decodes into v using its UnmarshalXDR method.
-func (d *Decoder) Unmarshal(v Unmarshaler) error {
-	if d.err != nil {
-		return d.err
-	}
-	if err := v.UnmarshalXDR(d); err != nil {
-		if d.err == nil {
-			d.err = err
-		}
-	}
-	return d.err
 }

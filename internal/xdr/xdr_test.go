@@ -369,12 +369,12 @@ func (p *pair) UnmarshalXDR(d *Decoder) error {
 
 func TestMarshalUnmarshalBytes(t *testing.T) {
 	in := &pair{A: 42, B: "cricket"}
-	data, err := Marshal(in)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := in.MarshalXDR(NewEncoder(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	var out pair
-	if err := Unmarshal(data, &out); err != nil {
+	if err := out.UnmarshalXDR(NewBytesDecoder(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if out != *in {
@@ -739,7 +739,12 @@ func TestGatherReferencesLargeOpaques(t *testing.T) {
 			t.Fatalf("encoder counted %d bytes", e.Len())
 		}
 	}
-	spans := g.Spans()
+	// message strips the headroom Framed leads the first span with.
+	message := func(g *Gather) [][]byte {
+		spans := g.Framed()
+		return append([][]byte{spans[0][Headroom:]}, spans[1:]...)
+	}
+	spans := message(&g)
 	if !bytes.Equal(bytes.Join(spans, nil), flat.Bytes()) {
 		t.Fatal("gathered spans differ from the staged encoding")
 	}
@@ -760,19 +765,20 @@ func TestGatherReferencesLargeOpaques(t *testing.T) {
 	if !late.Prepend([]byte{0xca, 0xfe}) || !late.Prepend([]byte{0xbe}) {
 		t.Fatal("Prepend refused what fits")
 	}
-	spans = late.Spans()
+	spans = message(&late)
 	if want := append([]byte{0xbe, 0xca, 0xfe, 0, 0, 0, 3}, 0, 0, byte(len(big)>>8), byte(len(big))); len(spans) != 3 || !bytes.Equal(spans[0], want) {
 		t.Fatalf("first of %d spans after Prepend: %x", len(spans), spans[0])
 	}
 	late.Reset()
-	if late.Prepend([]byte{1}) || len(late.Spans()) != 0 {
+	if spans = late.Framed(); late.Prepend([]byte{1}) || len(spans) != 1 || len(spans[0]) != Headroom {
 		t.Fatal("Reset left room or bytes behind")
 	}
 
 	g.Reset()
-	if n := len(g.Spans()); n != 0 {
-		t.Fatalf("%d spans after Reset", n)
+	if spans = g.Framed(); len(spans) != 1 || len(spans[0]) != Headroom {
+		t.Fatalf("%d spans after Reset, want the headroom alone", len(spans))
 	}
+	g.Reset()
 	for _, r := range g.refs[:cap(g.refs)] {
 		if r.p != nil {
 			t.Fatal("Reset left a payload referenced")
