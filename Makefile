@@ -16,7 +16,7 @@ race:
 
 # ci is the gate. Each leg's comment names what it holds.
 ci: build vet race gen-check fuzz-smoke
-	$(GO) test -race -count=2 ./internal/tune ./internal/cricket ./internal/oncrpc ./internal/xdr  # doubled run: ordering flakes in the tuners, the datapath and the record-buffer hand-off
+	$(GO) test -race -count=2 ./internal/tune ./internal/cricket ./internal/oncrpc ./internal/xdr ./internal/gpu ./internal/cuda  # doubled run: ordering flakes in the tuners, the datapath, the record-buffer hand-off and device pins
 	$(GO) test -race ./internal/fleet ./internal/cricket          # migration paths
 	$(GO) test -race ./internal/serve                             # the serving scheduler
 	$(GO) run ./cmd/benchharness -ablation-batch -smoke           # Hermit batch>=32 launches at >=2x the unbatched rate

@@ -490,28 +490,6 @@ func (c *Client) MemcpyDtoHInto(src gpu.Ptr, dst []byte) error {
 	return c.tr.Read(src, dst)
 }
 
-// parallelTransfer performs a bulk move over the side-channel data
-// connections, charging the pipelined multi-socket path cost.
-func (c *Client) parallelTransfer(n int, toDevice bool, fn func() error) error {
-	c.mu.Lock()
-	c.stats.APICalls++
-	c.mu.Unlock()
-	err := fn()
-	if c.sim {
-		c.path.Clock.Advance(c.path.MessageCost(n, toDevice, c.sockets))
-	}
-	if err == nil {
-		c.mu.Lock()
-		if toDevice {
-			c.stats.BytesToDevice += uint64(n)
-		} else {
-			c.stats.BytesFromDevice += uint64(n)
-		}
-		c.mu.Unlock()
-	}
-	return err
-}
-
 // countCall bumps the logical API-call counter. Kept closure-free:
 // the zero-allocation transports call it per transfer.
 func (c *Client) countCall() {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,49 +300,52 @@ func TestServeDataRetriesTemporaryAcceptErrors(t *testing.T) {
 // transfers (no ops at all) without faulting or dispatching
 // out-of-range chunks.
 func TestParallelXferSmallTransfers(t *testing.T) {
-	mk := func(k int) *socketTransport {
+	mk := func(k int) (*socketTransport, []*frameSink) {
 		st := &socketTransport{c: &Client{}, sockets: k}
-		for i := 0; i < k; i++ {
-			st.channels = append(st.channels, &dataChannel{})
+		sinks := make([]*frameSink, k)
+		for i := range sinks {
+			sinks[i] = &frameSink{}
+			st.channels = append(st.channels, startDataChannel(sinks[i], 0))
 		}
-		return st
+		t.Cleanup(func() { st.Close() })
+		return st, sinks
 	}
+	const ptr = 0x1000
 
 	t.Run("n less than channels", func(t *testing.T) {
-		st := mk(4)
-		type chunk struct{ off, n int }
-		got := make([]chunk, 4)
-		var calls atomic.Int32
-		err := st.xfer(2, func(ch *dataChannel, off, n int) error {
-			got[off] = chunk{off, n}
-			calls.Add(1)
-			return nil
-		})
-		if err != nil {
+		st, sinks := mk(4)
+		if err := st.xfer(true, ptr, make([]byte, 2)); err != nil {
 			t.Fatal(err)
 		}
-		if calls.Load() != 2 {
-			t.Fatalf("ops = %d, want 2", calls.Load())
+		calls := 0
+		for _, s := range sinks {
+			calls += len(s.frames)
 		}
-		if got[0] != (chunk{0, 1}) || got[1] != (chunk{1, 1}) {
-			t.Fatalf("chunks = %+v", got[:2])
+		if calls != 2 {
+			t.Fatalf("ops = %d, want 2", calls)
+		}
+		for i, s := range sinks[:2] {
+			if len(s.frames) != 1 || s.ptrs[0] != ptr+uint64(i) || s.frames[0] != 1 {
+				t.Fatalf("channel %d: ptrs %#x sizes %v, want one 1-byte chunk at %#x", i, s.ptrs, s.frames, ptr+i)
+			}
 		}
 	})
 
 	t.Run("n zero", func(t *testing.T) {
-		st := mk(3)
-		err := st.xfer(0, func(ch *dataChannel, off, n int) error {
-			t.Errorf("unexpected op at off=%d n=%d", off, n)
-			return nil
-		})
-		if err != nil {
+		st, sinks := mk(3)
+		if err := st.xfer(true, ptr, nil); err != nil {
 			t.Fatal(err)
+		}
+		for i, s := range sinks {
+			if len(s.frames) != 0 {
+				t.Errorf("channel %d: unexpected ops at %#x sizes %v", i, s.ptrs, s.frames)
+			}
 		}
 	})
 
 	t.Run("no channels", func(t *testing.T) {
-		st := mk(0)
-		if err := st.xfer(8, func(*dataChannel, int, int) error { return nil }); err == nil {
+		st, _ := mk(0)
+		if err := st.xfer(true, ptr, make([]byte, 8)); err == nil {
 			t.Fatal("expected an error with zero channels")
 		}
 	})

@@ -145,6 +145,11 @@ type Server struct {
 	reserved     map[*serverConn]time.Time // connections shed for MaxInflight, until when the gate keeps a slot for each
 	clock        func() time.Time
 
+	// dataStall is the part of a data-channel frame's time limit that
+	// does not scale with its payload (frameLimit), overridable in
+	// tests.
+	dataStall time.Duration
+
 	// collector, when set, receives per-call spans and histograms.
 	// Accessed atomically so observability can be toggled while
 	// serving; nil means disabled (the default).
@@ -174,6 +179,7 @@ func NewServer(rt *cuda.Runtime) *Server {
 		leases:       make(map[uint64]*lease),
 		leaseByNonce: make(map[uint64]*lease),
 		clock:        time.Now,
+		dataStall:    defaultDataStall,
 	}
 }
 

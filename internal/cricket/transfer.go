@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"cricket/internal/cuda"
@@ -49,17 +48,63 @@ var ErrDataChannel = errors.New("cricket: malformed data-channel frame")
 // maxDataFrame bounds one data-channel payload.
 const maxDataFrame = 1 << 30
 
+// A frame holds a device pin while its payload moves, so a peer that
+// stalls mid-frame must not hold it for ever: the pin would hold off
+// every op on the range and every checkpoint. A frame may take
+// defaultDataStall plus the time its payload needs at dataMinRate;
+// then the server closes the connection, which fails the frame's I/O
+// and so unpins.
+const (
+	defaultDataStall = 10 * time.Second
+	dataMinRate      = 16 << 20 // bytes per second
+)
+
+// frameLimit is how long a frame of n payload bytes may hold its pin.
+func (s *Server) frameLimit(n uint64) time.Duration {
+	return s.dataStall + time.Duration(n)*time.Second/dataMinRate
+}
+
+// A frameWatch closes a data connection whose frame outlasts its
+// limit. Its timer is made once per connection and re-armed per frame.
+// A connection that cannot be closed is not watched.
+type frameWatch struct {
+	c io.Closer
+	t *time.Timer
+}
+
+func (w *frameWatch) arm(limit time.Duration) {
+	switch {
+	case w.c == nil:
+	case w.t == nil:
+		w.t = time.AfterFunc(limit, func() { w.c.Close() })
+	default:
+		w.t.Reset(limit)
+	}
+}
+
+func (w *frameWatch) disarm() {
+	if w.t != nil {
+		w.t.Stop()
+	}
+}
+
 // ServeDataConn serves data-channel requests on one connection until
 // it closes. Run it on connections accepted from a dedicated data
-// listener, one goroutine each.
+// listener, one goroutine each. A frame's payload moves between the
+// connection and a pinned view of device memory (gpu.Device.Pin), so
+// the connection keeps no payload buffer and a forged header sizes
+// nothing. A frame that holds its pin past its limit (frameLimit)
+// closes the connection, if it is an io.Closer.
 func (s *Server) ServeDataConn(conn io.ReadWriter) error {
-	var hdr [4 + 1 + 8 + 8]byte
-	// payload is reused across frames (grown on demand, never shrunk)
-	// so a connection streaming many chunks allocates per high-water
-	// mark, not per frame.
-	var payload []byte
+	// One array for the header and the status reply: it escapes into
+	// conn once per connection rather than once per frame.
+	var buf [4 + 1 + 8 + 8 + 4]byte
+	hdr, status := buf[:21], buf[21:]
+	w := new(frameWatch)
+	w.c, _ = conn.(io.Closer)
+	defer w.disarm()
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(conn, hdr); err != nil {
 			if err == io.EOF {
 				return nil
 			}
@@ -77,34 +122,62 @@ func (s *Server) ServeDataConn(conn io.ReadWriter) error {
 		if op != dataOpWrite && op != dataOpRead {
 			return fmt.Errorf("%w: op %d", ErrDataChannel, op)
 		}
-		if uint64(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		buf := payload[:n]
-		if op == dataOpWrite {
-			if _, err := io.ReadFull(conn, buf); err != nil {
-				return err
-			}
-		}
-		code := s.dataCopy(uint32(op), ptr, buf)
-		var status [4]byte
-		binary.BigEndian.PutUint32(status[:], uint32(code))
-		if _, err := conn.Write(status[:]); err != nil {
+		if err := s.dataFrame(conn, w, op, ptr, n, status); err != nil {
 			return err
-		}
-		if op == dataOpRead && code == cuda.Success {
-			if _, err := conn.Write(buf); err != nil {
-				return err
-			}
 		}
 	}
 }
 
-// dataCopy executes one data-plane copy for the three side-channel
+// dataFrame serves one frame whose header is read: it pins the device
+// range, reads a write's payload straight into it or writes the status
+// and then the range itself for a read, and unpins. w watches the
+// frame while the pin is held. It returns only connection errors; a
+// CUDA failure is the in-band status, after a refused write's payload
+// is discarded so the stream stays in sync.
+func (s *Server) dataFrame(conn io.ReadWriter, w *frameWatch, op byte, ptr gpu.Ptr, n uint64, status []byte) error {
+	write := op == dataOpWrite
+	v, _, err := s.rt.Pin(ptr, n, write)
+	if err == nil {
+		w.arm(s.frameLimit(n))
+		defer w.disarm()
+	}
+	defer v.Unpin()
+	code := cuda.Code(err)
+	if write {
+		if err != nil {
+			_, err = io.CopyN(io.Discard, conn, int64(n))
+		} else {
+			_, err = io.ReadFull(conn, v.Bytes)
+			// Unpin before the reply, so the client's next op on the
+			// range never waits for this frame.
+			v.Unpin()
+			w.disarm()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if code == cuda.Success {
+		s.addServerBytes(write, n)
+	}
+	binary.BigEndian.PutUint32(status, uint32(code))
+	if _, err := conn.Write(status); err != nil {
+		return err
+	}
+	if !write && code == cuda.Success {
+		if _, err := conn.Write(v.Bytes); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dataCopy executes one data-plane copy for the shared-memory and RDMA
 // servers — buf into device memory at ptr for dataOpWrite, out of it
 // for dataOpRead — and counts the bytes only when the device took or
-// gave them. It is closure-free: the shm ring consumer's per-slot path
-// is pinned at 0 allocs/op.
+// gave them. Their segment-to-device copy is the modelled host memcpy,
+// so they copy rather than pin. It is closure-free: the shm ring
+// consumer's per-slot path is pinned at 0 allocs/op.
 func (s *Server) dataCopy(op uint32, ptr gpu.Ptr, buf []byte) cuda.Error {
 	var err error
 	switch op {
@@ -221,17 +294,48 @@ func (s *Server) ServeRDMA(ep *netsim.RdmaEndpoint, window []byte) {
 
 // dataChannel is one client-side data connection with its frame
 // scratch buffers, kept in the struct so the per-frame path performs
-// no allocations.
+// no allocations. Once started, its own carrier goroutine (serve) is
+// the only user of the connection.
 type dataChannel struct {
-	mu   sync.Mutex
 	conn io.ReadWriteCloser
 	// maxFrame caps one frame payload; zero means maxDataFrame.
 	maxFrame int
+
+	// jobs hands serve one span to move and done returns the result.
+	jobs chan dataJob
+	done chan error
 
 	hdr  [21]byte
 	st   [4]byte
 	vecb [2][]byte
 	bufs net.Buffers
+}
+
+// A dataJob is one contiguous span for a channel to move: buf into
+// device memory at ptr, or out of it.
+type dataJob struct {
+	write bool
+	ptr   gpu.Ptr
+	buf   []byte
+}
+
+// startDataChannel wraps conn and starts its carrier goroutine, the
+// paper's one thread per socket; close stops it.
+func startDataChannel(conn io.ReadWriteCloser, maxFrame int) *dataChannel {
+	dc := &dataChannel{conn: conn, maxFrame: maxFrame, jobs: make(chan dataJob), done: make(chan error, 1)}
+	go dc.serve()
+	return dc
+}
+
+// serve moves every span handed to the channel until close.
+func (dc *dataChannel) serve() {
+	for j := range dc.jobs {
+		if j.write {
+			dc.done <- dc.write(j.ptr, j.buf)
+		} else {
+			dc.done <- dc.read(j.ptr, j.buf)
+		}
+	}
 }
 
 // frameMax returns the effective per-frame payload cap.
@@ -281,8 +385,6 @@ func (dc *dataChannel) readStatus() error {
 // channel, split into frames of at most frameMax payload bytes so an
 // oversized memcpy never emits a frame the server rejects.
 func (dc *dataChannel) write(ptr gpu.Ptr, payload []byte) error {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
 	fmax := dc.frameMax()
 	off := 0
 	for {
@@ -306,8 +408,6 @@ func (dc *dataChannel) write(ptr gpu.Ptr, payload []byte) error {
 // read pulls one contiguous span from the device through this
 // channel, framed like write.
 func (dc *dataChannel) read(ptr gpu.Ptr, dst []byte) error {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
 	fmax := dc.frameMax()
 	off := 0
 	for {
@@ -331,4 +431,9 @@ func (dc *dataChannel) read(ptr gpu.Ptr, dst []byte) error {
 	}
 }
 
-func (dc *dataChannel) close() error { return dc.conn.Close() }
+// close stops the carrier goroutine, which is idle between transfers,
+// and closes the connection.
+func (dc *dataChannel) close() error {
+	close(dc.jobs)
+	return dc.conn.Close()
+}

@@ -2,11 +2,11 @@ package cricket
 
 import "testing"
 
-// Benchmarks for the side-channel data path. ServeDataConn reuses one
-// payload buffer per connection across frames (write and read paths);
-// before that, every frame allocated its full payload server-side, so
-// allocs/op here scaled with transfer count. Run with -benchmem to see
-// the per-op allocation count.
+// Benchmarks for the side-channel data path. ServeDataConn moves each
+// frame between the socket and a pinned view of device memory, and
+// the client's carriers are long-lived goroutines per socket, so the
+// steady state allocates nothing on either side. Run with -benchmem to
+// see the per-op allocation count.
 
 func BenchmarkDataChannelWrite64KiB(b *testing.B) {
 	h := newParallelHarness(b, 4)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"cricket/internal/cuda"
 	"cricket/internal/gpu"
@@ -242,7 +241,7 @@ func (t *socketTransport) open() error {
 			t.poisoned = true
 			return carrier(fmt.Errorf("data channel %d: %w", i, err))
 		}
-		chs = append(chs, &dataChannel{conn: conn, maxFrame: t.maxFrame})
+		chs = append(chs, startDataChannel(conn, t.maxFrame))
 	}
 	t.channels = chs
 	t.poisoned = false
@@ -272,10 +271,11 @@ func (t *socketTransport) ensure() error {
 	return t.Reopen()
 }
 
-// xfer splits an n-byte transfer across the channels and runs the
-// chunk operations concurrently, returning the first error. Any
-// carrier-level chunk failure poisons the set.
-func (t *socketTransport) xfer(n int, op func(ch *dataChannel, off, size int) error) error {
+// xfer splits a transfer into one contiguous span per channel, hands
+// the spans to the channels' carrier goroutines, and returns the first
+// error once every span is done. Any carrier-level failure poisons the
+// set.
+func (t *socketTransport) xfer(write bool, ptr gpu.Ptr, buf []byte) error {
 	if err := t.ensure(); err != nil {
 		return err
 	}
@@ -283,27 +283,21 @@ func (t *socketTransport) xfer(n int, op func(ch *dataChannel, off, size int) er
 	if k == 0 {
 		return carrier(errors.New("no data channels open"))
 	}
+	n := len(buf)
 	chunk := (n + k - 1) / k
-	var wg sync.WaitGroup
-	errs := make([]error, k)
-	for i := 0; i < k; i++ {
+	started := 0
+	for i, ch := range t.channels {
 		off := i * chunk
 		if off >= n {
 			break
 		}
-		size := chunk
-		if off+size > n {
-			size = n - off
-		}
-		wg.Add(1)
-		go func(i, off, size int) {
-			defer wg.Done()
-			errs[i] = op(t.channels[i], off, size)
-		}(i, off, size)
+		end := min(off+chunk, n)
+		ch.jobs <- dataJob{write: write, ptr: ptr + gpu.Ptr(off), buf: buf[off:end]}
+		started++
 	}
-	wg.Wait()
 	var first error
-	for _, err := range errs {
+	for _, ch := range t.channels[:started] {
+		err := <-ch.done
 		if err == nil {
 			continue
 		}
@@ -317,21 +311,24 @@ func (t *socketTransport) xfer(n int, op func(ch *dataChannel, off, size int) er
 	return first
 }
 
-func (t *socketTransport) Write(ptr gpu.Ptr, data []byte) error {
-	return t.c.parallelTransfer(len(data), true, func() error {
-		return t.xfer(len(data), func(ch *dataChannel, off, size int) error {
-			return ch.write(ptr+gpu.Ptr(off), data[off:off+size])
-		})
-	})
+// move is one whole transfer: it counts the call, runs it across the
+// channels, and charges the pipelined multi-socket path cost.
+func (t *socketTransport) move(write bool, ptr gpu.Ptr, buf []byte) error {
+	c := t.c
+	c.countCall()
+	err := t.xfer(write, ptr, buf)
+	if c.sim {
+		c.path.Clock.Advance(c.path.MessageCost(len(buf), write, c.sockets))
+	}
+	if err == nil {
+		c.addBytes(write, uint64(len(buf)))
+	}
+	return err
 }
 
-func (t *socketTransport) Read(ptr gpu.Ptr, dst []byte) error {
-	return t.c.parallelTransfer(len(dst), false, func() error {
-		return t.xfer(len(dst), func(ch *dataChannel, off, size int) error {
-			return ch.read(ptr+gpu.Ptr(off), dst[off:off+size])
-		})
-	})
-}
+func (t *socketTransport) Write(ptr gpu.Ptr, data []byte) error { return t.move(true, ptr, data) }
+
+func (t *socketTransport) Read(ptr gpu.Ptr, dst []byte) error { return t.move(false, ptr, dst) }
 
 func (t *socketTransport) Close() error {
 	for _, ch := range t.channels {

@@ -421,19 +421,21 @@ func TestDataFrameSplitE2E(t *testing.T) {
 }
 
 // frameSink is an O(1)-memory data-channel peer: it parses frames,
-// records payload sizes, and queues success statuses, discarding the
-// payload bytes. It lets the 1 GiB boundary test run without a server
-// (or a second gigabyte of memory).
+// records their device pointers and payload sizes, and queues success
+// statuses, discarding the payload bytes. It lets the 1 GiB boundary
+// test run without a server (or a second gigabyte of memory).
 type frameSink struct {
 	hdr     [21]byte
 	hn      int
 	payload uint64
 	frames  []uint64
+	ptrs    []uint64
 	status  []byte
 }
 
 func (s *frameSink) complete() {
 	s.frames = append(s.frames, binary.BigEndian.Uint64(s.hdr[13:]))
+	s.ptrs = append(s.ptrs, binary.BigEndian.Uint64(s.hdr[5:]))
 	s.status = append(s.status, 0, 0, 0, 0)
 }
 

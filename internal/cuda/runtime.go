@@ -79,8 +79,6 @@ type streamState struct {
 	// dev is the device that was current at creation; DeviceReset on
 	// it destroys the stream. The default stream belongs to no device.
 	dev int
-	// busyUntil is the stream's position on the simulated timeline.
-	busyUntil time.Duration
 }
 
 type eventState struct {
@@ -187,6 +185,26 @@ func (r *Runtime) Device(i int) (*gpu.Device, error) {
 
 func (r *Runtime) cur() *gpu.Device { return r.devices[r.current] }
 
+// device returns the current device. Ops that may wait for a pinned
+// range (see gpu.Device.Pin) run on it without r.mu, so the wait holds
+// up no other tenant.
+func (r *Runtime) device() *gpu.Device {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.cur()
+}
+
+// copied finishes a memory op that ran without r.mu: it charges d and
+// notes a failure as an invalid device pointer.
+func (r *Runtime) copied(d time.Duration, err error) (time.Duration, error) {
+	if err != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.charge(d), r.note(ErrorInvalidDevicePointer)
+	}
+	return r.charge(d), nil
+}
+
 // GetDeviceProperties returns the properties of device i
 // (cudaGetDeviceProperties).
 func (r *Runtime) GetDeviceProperties(i int) (DeviceProp, time.Duration, error) {
@@ -247,59 +265,47 @@ func (r *Runtime) MemGetInfo() (free, total uint64, dur time.Duration, err error
 
 // MemcpyHtoD copies host bytes to device memory.
 func (r *Runtime) MemcpyHtoD(dst gpu.Ptr, src []byte) (time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, err := r.cur().Write(dst, src)
-	if err != nil {
-		return r.charge(d), r.note(ErrorInvalidDevicePointer)
-	}
-	return r.charge(d), nil
+	return r.copied(r.device().Write(dst, src))
 }
 
 // MemcpyDtoH copies device memory to a fresh host buffer.
 func (r *Runtime) MemcpyDtoH(src gpu.Ptr, n uint64) ([]byte, time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, d, err := r.cur().Read(src, n)
+	b, d, err := r.device().Read(src, n)
+	d, err = r.copied(d, err)
 	if err != nil {
-		return nil, r.charge(d), r.note(ErrorInvalidDevicePointer)
+		return nil, d, err
 	}
-	return b, r.charge(d), nil
+	return b, d, nil
 }
 
 // MemcpyDtoHInto copies device memory into a caller-provided buffer,
 // filling it completely. It is the allocation-free sibling of
 // MemcpyDtoH for hot paths that recycle host buffers.
 func (r *Runtime) MemcpyDtoHInto(src gpu.Ptr, dst []byte) (time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, err := r.cur().ReadInto(src, dst)
+	return r.copied(r.device().ReadInto(src, dst))
+}
+
+// Pin pins [p, p+n) of the current device for writing or for reading
+// (gpu.Device.Pin) and charges the PCIe copy MemcpyHtoD or
+// MemcpyDtoHInto would: the caller moves the bytes through the view
+// itself, with no staging buffer, and must Unpin it.
+func (r *Runtime) Pin(p gpu.Ptr, n uint64, write bool) (gpu.View, time.Duration, error) {
+	v, err := r.device().Pin(p, n, write)
 	if err != nil {
-		return r.charge(d), r.note(ErrorInvalidDevicePointer)
+		d, err := r.copied(0, err)
+		return gpu.View{}, d, err
 	}
-	return r.charge(d), nil
+	return v, r.charge(gpu.PCIeCopyTime(n)), nil
 }
 
 // MemcpyDtoD copies between device buffers.
 func (r *Runtime) MemcpyDtoD(dst, src gpu.Ptr, n uint64) (time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, err := r.cur().CopyDtoD(dst, src, n)
-	if err != nil {
-		return r.charge(d), r.note(ErrorInvalidDevicePointer)
-	}
-	return r.charge(d), nil
+	return r.copied(r.device().CopyDtoD(dst, src, n))
 }
 
 // Memset fills device memory (cudaMemset).
 func (r *Runtime) Memset(p gpu.Ptr, value byte, n uint64) (time.Duration, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, err := r.cur().Memset(p, value, n)
-	if err != nil {
-		return r.charge(d), r.note(ErrorInvalidDevicePointer)
-	}
-	return r.charge(d), nil
+	return r.copied(r.device().Memset(p, value, n))
 }
 
 // DeviceSynchronize waits for all streams (cudaDeviceSynchronize). In
@@ -603,24 +609,29 @@ func (r *Runtime) ModuleGetGlobal(m Module, name string) (gpu.Ptr, uint64, time.
 }
 
 // LaunchKernel launches a function with a raw argument buffer laid out
-// per the kernel's cubin parameter metadata (cuLaunchKernel). The
-// stream's timeline advances by the kernel duration.
+// per the kernel's cubin parameter metadata (cuLaunchKernel) and
+// charges the kernel duration. The kernel runs without r.mu, since it
+// may wait for a transfer's pin on an argument.
 func (r *Runtime) LaunchKernel(f Function, grid, block gpu.Dim3, sharedMem uint32, s Stream, argBuf []byte) (time.Duration, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	fs, ok := r.functions[f]
 	if !ok {
+		defer r.mu.Unlock()
 		return 0, r.note(ErrorInvalidDeviceFunction)
 	}
-	st, ok := r.streams[s]
-	if !ok {
+	if _, ok := r.streams[s]; !ok {
+		defer r.mu.Unlock()
 		return 0, r.note(ErrorInvalidHandle)
 	}
-	ms := r.modules[fs.mod]
-	dev := r.devices[ms.dev]
+	dev := r.devices[r.modules[fs.mod].dev]
+	r.mu.Unlock()
+	// fs's kernel and layout never change once ModuleGetFunction
+	// made it.
 	cfg := gpu.LaunchConfig{Grid: grid, Block: block, SharedMem: sharedMem + fs.kernel.SharedMem}
 	dur, err := dev.Launch(fs.kernel.Name, cfg, argBuf, fs.layout)
 	if err != nil {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		var code Error
 		switch {
 		case errors.Is(err, gpu.ErrBadLaunch):
@@ -633,6 +644,5 @@ func (r *Runtime) LaunchKernel(f Function, grid, block gpu.Dim3, sharedMem uint3
 		r.asyncErr = code
 		return 0, r.note(code)
 	}
-	st.busyUntil = r.now() + dur
 	return r.charge(dur), nil
 }

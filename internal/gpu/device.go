@@ -80,6 +80,12 @@ type Device struct {
 	// under mu: both are only valid while the kernel runs.
 	args Args
 	kmem Mem
+
+	// pins counts outstanding Views, those of freed allocations
+	// included; unpinned (over mu) wakes ops waiting for a
+	// conflicting pin to go. See pin.go.
+	pins     int
+	unpinned sync.Cond
 }
 
 // SetTimingOnly switches the device between full functional execution
@@ -98,11 +104,13 @@ func (d *Device) SetTimingOnly(on bool) {
 
 // New returns a device with the given hardware spec.
 func New(spec Spec) *Device {
-	return &Device{
+	d := &Device{
 		spec:    spec,
 		mem:     newMemSpace(spec.MemBytes),
 		kernels: make(map[string]Kernel),
 	}
+	d.unpinned.L = &d.mu
+	return d
 }
 
 // Spec returns the device's hardware description.
@@ -142,6 +150,7 @@ func (d *Device) Free(p Ptr) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	err := d.mem.freePtr(p)
+	d.wakeWaiters()
 	return 3 * time.Microsecond, err
 }
 
@@ -175,6 +184,9 @@ func (d *Device) copyTime(n uint64) time.Duration { return PCIeCopyTime(n) }
 func (d *Device) Write(p Ptr, data []byte) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.busy(p, uint64(len(data)), true) {
+		d.unpinned.Wait()
+	}
 	dst, err := d.mem.region(p, uint64(len(data)))
 	if err != nil {
 		return 0, err
@@ -187,6 +199,9 @@ func (d *Device) Write(p Ptr, data []byte) (time.Duration, error) {
 func (d *Device) Read(p Ptr, n uint64) ([]byte, time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.busy(p, n, false) {
+		d.unpinned.Wait()
+	}
 	src, err := d.mem.region(p, n)
 	if err != nil {
 		return nil, 0, err
@@ -198,10 +213,13 @@ func (d *Device) Read(p Ptr, n uint64) ([]byte, time.Duration, error) {
 
 // ReadInto copies device memory into a caller-provided buffer,
 // filling it completely — the allocation-free variant of Read for
-// callers that recycle buffers (the data-channel server).
+// callers that recycle buffers (the shared-memory and RDMA servers).
 func (d *Device) ReadInto(p Ptr, dst []byte) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.busy(p, uint64(len(dst)), false) {
+		d.unpinned.Wait()
+	}
 	src, err := d.mem.region(p, uint64(len(dst)))
 	if err != nil {
 		return 0, err
@@ -214,6 +232,9 @@ func (d *Device) ReadInto(p Ptr, dst []byte) (time.Duration, error) {
 func (d *Device) Memset(p Ptr, v byte, n uint64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.busy(p, n, true) {
+		d.unpinned.Wait()
+	}
 	dst, err := d.mem.region(p, n)
 	if err != nil {
 		return 0, err
@@ -229,6 +250,9 @@ func (d *Device) Memset(p Ptr, v byte, n uint64) (time.Duration, error) {
 func (d *Device) CopyDtoD(dst, src Ptr, n uint64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.busy(src, n, false) || d.busy(dst, n, true) {
+		d.unpinned.Wait()
+	}
 	s, err := d.mem.region(src, n)
 	if err != nil {
 		return 0, err
@@ -244,12 +268,22 @@ func (d *Device) CopyDtoD(dst, src Ptr, n uint64) (time.Duration, error) {
 
 // A Mem is the device-memory handle passed to executing kernels. It
 // is only valid for the duration of the kernel invocation.
-type Mem struct{ m *memSpace }
+type Mem struct {
+	m *memSpace
+	// pinned is whether any pin was outstanding when the kernel
+	// started; none can come or go while it runs, as it holds d.mu.
+	pinned bool
+}
 
 // Bytes resolves a device range to its live backing bytes; kernels
-// mutate device memory through the returned slice.
+// mutate device memory through the returned slice. An allocation a
+// transfer still holds pinned is not the kernel's to touch: Launch
+// waited only for the allocations its 8-byte parameters point into.
 func (m *Mem) Bytes(p Ptr, n uint64) ([]byte, error) {
-	return m.m.region(p, n)
+	if !m.pinned {
+		return m.m.region(p, n)
+	}
+	return m.m.unpinned(p, n)
 }
 
 // An ArgSlot describes one kernel parameter's place in the argument
@@ -321,9 +355,14 @@ func (a *Args) U64(i int) (uint64, error) {
 
 // Launch executes a registered kernel. The argument buffer is decoded
 // with the given layout. It returns the simulated kernel duration.
+// The kernel runs once no allocation its 8-byte parameters point into
+// is pinned.
 func (d *Device) Launch(name string, cfg LaunchConfig, argBuf []byte, layout []ArgSlot) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for d.argsPinned(argBuf, layout) {
+		d.unpinned.Wait()
+	}
 	k, ok := d.kernels[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownKernel, name)
@@ -331,7 +370,7 @@ func (d *Device) Launch(name string, cfg LaunchConfig, argBuf []byte, layout []A
 	if err := d.validate(cfg); err != nil {
 		return 0, err
 	}
-	d.args, d.kmem = Args{buf: argBuf, offsets: layout}, Mem{m: d.mem}
+	d.args, d.kmem = Args{buf: argBuf, offsets: layout}, Mem{m: d.mem, pinned: d.pins > 0}
 	args := &d.args
 	defer func() { d.args = Args{} }() // argBuf is the caller's again
 	if !d.timingOnly {
@@ -390,4 +429,5 @@ func (d *Device) Reset() {
 	d.mem = newMemSpace(d.spec.MemBytes)
 	d.launches = 0
 	d.flopsTotal = 0
+	d.wakeWaiters()
 }

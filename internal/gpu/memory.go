@@ -34,10 +34,33 @@ var (
 )
 
 // An allocation is one live device-memory region with real backing
-// storage.
+// storage. Every allocation owns its slice, so a view pinned before a
+// Free or Reset keeps pointing at the old bytes and never aliases a
+// later allocation at the same address.
 type allocation struct {
 	base Ptr
 	data []byte
+	// pins are the ranges of data handed out as Views and not yet
+	// unpinned. Guarded by the owning Device's mu.
+	pins []pinRange
+}
+
+// A pinRange is one outstanding pin: bytes [lo, hi) of an
+// allocation's data, pinned for writing or for reading.
+type pinRange struct {
+	lo, hi uint64
+	write  bool
+}
+
+// conflicts reports whether an access to [lo, hi) of a must wait for
+// one of a's pins: the ranges overlap and at least one side writes.
+func (a *allocation) conflicts(lo, hi uint64, write bool) bool {
+	for _, p := range a.pins {
+		if lo < p.hi && p.lo < hi && (write || p.write) {
+			return true
+		}
+	}
+	return false
 }
 
 // memSpace is the device memory manager: a first-fit free-list
@@ -135,18 +158,41 @@ func (m *memSpace) insertFree(f freeRange) {
 	}
 }
 
-// region resolves an address range to the backing bytes, enforcing
-// that [p, p+n) lies inside one live allocation.
-func (m *memSpace) region(p Ptr, n uint64) ([]byte, error) {
+// find resolves an address range to its allocation and the range's
+// offset in it, enforcing that [p, p+n) lies inside one live
+// allocation.
+func (m *memSpace) find(p Ptr, n uint64) (*allocation, uint64, error) {
 	idx := sort.Search(len(m.allocs), func(i int) bool { return m.allocs[i].base > p })
 	if idx == 0 {
-		return nil, fmt.Errorf("%w: %#x", ErrInvalidPtr, uint64(p))
+		return nil, 0, fmt.Errorf("%w: %#x", ErrInvalidPtr, uint64(p))
 	}
 	a := m.allocs[idx-1]
 	off := uint64(p - a.base)
 	if off+n > uint64(len(a.data)) {
-		return nil, fmt.Errorf("%w: [%#x,+%d) overruns allocation of %d bytes at %#x",
+		return nil, 0, fmt.Errorf("%w: [%#x,+%d) overruns allocation of %d bytes at %#x",
 			ErrInvalidPtr, uint64(p), n, len(a.data), uint64(a.base))
+	}
+	return a, off, nil
+}
+
+// region resolves an address range to the backing bytes.
+func (m *memSpace) region(p Ptr, n uint64) ([]byte, error) {
+	a, off, err := m.find(p, n)
+	if err != nil {
+		return nil, err
+	}
+	return a.data[off : off+n], nil
+}
+
+// unpinned is region for a kernel: an allocation that holds a pin is
+// not the kernel's to touch (Mem.Bytes).
+func (m *memSpace) unpinned(p Ptr, n uint64) ([]byte, error) {
+	a, off, err := m.find(p, n)
+	if err != nil {
+		return nil, err
+	}
+	if len(a.pins) > 0 {
+		return nil, errPinned(p)
 	}
 	return a.data[off : off+n], nil
 }

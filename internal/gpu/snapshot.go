@@ -49,10 +49,16 @@ func (d *Device) SetSnapshotBudget(bytes uint64) {
 
 // Snapshot captures the device's full memory state. The returned
 // duration models the device-to-host readback of all live data. It
-// fails when live data exceeds the staging budget, if one is set.
+// fails when live data exceeds the staging budget, if one is set. It
+// never captures a half-landed transfer: it first waits for write pins
+// on live allocations to go, and fails with ErrPinned if they outlast
+// snapshotPinWait.
 func (d *Device) Snapshot() (*Snapshot, time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if !d.waitWritePins() {
+		return nil, 0, ErrPinned
+	}
 	if d.snapBudget > 0 {
 		var live uint64
 		for _, a := range d.mem.allocs {
@@ -100,5 +106,6 @@ func (d *Device) RestoreSnapshot(s *Snapshot) time.Duration {
 	d.mem = m
 	d.launches = s.launches
 	d.flopsTotal = s.flops
+	d.wakeWaiters()
 	return d.copyTime(bytes)
 }
