@@ -131,10 +131,7 @@ func Transport(bytes int) (TransportResult, error) {
 				// read-into on the raw client, steady state. The warmup
 				// transfers above already faulted in every lazy
 				// structure (ring, scratch, counters).
-				raw, ok := vg.Raw().(*cricket.Client) // MemcpyDtoHInto is not on cricket.API
-				if !ok {
-					return fmt.Errorf("%s: allocation pin needs a plain client, have %T", m, vg.Raw())
-				}
+				raw := vg.Raw()
 				p := buf.Ptr()
 				chunk := data[:64<<10]
 				dst := make([]byte, len(chunk))

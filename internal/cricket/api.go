@@ -23,6 +23,7 @@ type API interface {
 	MemcpyHtoD(dst gpu.Ptr, data []byte) error
 	MemcpyHtoDAsync(dst gpu.Ptr, data []byte, s cuda.Stream) error
 	MemcpyDtoH(src gpu.Ptr, n uint64) ([]byte, error)
+	MemcpyDtoHInto(src gpu.Ptr, dst []byte) error
 	MemcpyDtoD(dst, src gpu.Ptr, n uint64) error
 	Memset(p gpu.Ptr, value byte, n uint64) error
 	MemGetInfo() (free, total uint64, err error)

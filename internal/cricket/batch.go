@@ -8,6 +8,7 @@ import (
 	"cricket/internal/cuda"
 	"cricket/internal/gpu"
 	"cricket/internal/obs"
+	"cricket/internal/xdr"
 )
 
 // This file is the client side of batched execution (see cricket.x
@@ -24,8 +25,18 @@ import (
 // returns the per-entry status vector. Accounting treats each entry
 // as one logical API call (and each launch entry as one kernel
 // launch), so a batched run reports the same Stats as its unbatched
-// twin. Session flushes its queue through here.
+// twin. A MEMCPY_DTOH entry fails in it (see cricket.x).
 func (c *Client) BatchExec(entries []BatchEntry) ([]int32, error) {
+	return c.batchExec(entries, nil, nil, false)
+}
+
+// batchExec is BatchExec decoding the statuses into sts, which is
+// grown when short and returned, so Session's flushes reuse one. With
+// read the batch goes as BATCH_EXEC_READ, and the bytes of its
+// successful MEMCPY_DTOH entries land in dst, packed in entry order: a
+// read is then one entry of the flush it closes rather than a round
+// trip of its own. Session flushes its queue through here.
+func (c *Client) batchExec(entries []BatchEntry, sts []int32, dst []byte, read bool) ([]int32, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
@@ -63,16 +74,43 @@ func (c *Client) BatchExec(entries []BatchEntry) ([]int32, error) {
 	if col != nil {
 		t0 = time.Now()
 	}
-	var res BatchResult
-	err := c.charge(payload > 0, 1, func(ctx context.Context) (e error) {
-		res, e = c.gen.BatchExecContext(ctx, BatchArgs{Entries: entries})
-		return
+	proc := uint32(ProcBatchExec)
+	if read {
+		proc = ProcBatchExecRead
+	}
+	var data []byte
+	err := c.charge(payload > 0 || read, 1, func(ctx context.Context) error {
+		return c.rpc.Do(ctx, proc, func(e *xdr.Encoder) error {
+			return (&BatchArgs{Entries: entries}).MarshalXDR(e)
+		}, func(d *xdr.Decoder) (err error) {
+			if sts, err = decodeStatuses(d, sts); err == nil && read {
+				data, err = d.OpaqueInto(dst)
+			}
+			return err
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(res.Status) != len(entries) {
-		return nil, fmt.Errorf("cricket: batch reply carries %d statuses for %d entries", len(res.Status), len(entries))
+	if len(sts) != len(entries) {
+		return nil, fmt.Errorf("cricket: batch reply carries %d statuses for %d entries", len(sts), len(entries))
+	}
+	var accepted, produced uint64
+	for i, st := range sts {
+		if st != 0 {
+			continue
+		}
+		switch entries[i].Op {
+		case BatchOpMemcpyHtod:
+			accepted += uint64(len(entries[i].Data))
+		case BatchOpMemcpyDtoh:
+			if read {
+				produced += entries[i].N
+			}
+		}
+	}
+	if read && (uint64(len(data)) != produced || len(data) > len(dst)) {
+		return nil, fmt.Errorf("cricket: batch reply carries %d read bytes for %d read, into a %d-byte buffer", len(data), produced, len(dst))
 	}
 	if col != nil {
 		// Amortize the batch round trip over its entries so each
@@ -89,22 +127,36 @@ func (c *Client) BatchExec(entries []BatchEntry) ([]int32, error) {
 				CallID: entries[i].TraceId, Entry: int32(i), Proc: proc,
 				Side: obs.SideClient, Stage: obs.StageCall,
 				Start: end - int64(wall), Dur: int64(share),
-				Err: res.Status[i],
+				Err: sts[i],
 			})
 		}
 	}
-	var accepted uint64
-	for i, st := range res.Status {
-		if st == 0 && entries[i].Op == BatchOpMemcpyHtod {
-			accepted += uint64(len(entries[i].Data))
-		}
-	}
-	if accepted > 0 {
+	if accepted > 0 || produced > 0 {
 		c.mu.Lock()
 		c.stats.BytesToDevice += accepted
+		c.stats.BytesFromDevice += produced
 		c.mu.Unlock()
 	}
-	return res.Status, nil
+	return sts, nil
+}
+
+// decodeStatuses decodes a batch reply's status vector into sts,
+// growing it when short.
+func decodeStatuses(d *xdr.Decoder, sts []int32) ([]int32, error) {
+	n, err := d.ArrayLen(4)
+	if err != nil {
+		return sts, err
+	}
+	if cap(sts) < n {
+		sts = make([]int32, n)
+	}
+	sts = sts[:n]
+	for i := range sts {
+		if sts[i], err = d.Int32(); err != nil {
+			return sts, err
+		}
+	}
+	return sts, nil
 }
 
 // MemcpyHtoDAsync implements cudaMemcpyAsync(HostToDevice). A Client

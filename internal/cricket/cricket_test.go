@@ -74,7 +74,7 @@ func TestSpecFileParsesAndMatchesGenerated(t *testing.T) {
 		t.Fatalf("program number %#x, generated %#x", spec.Programs[0].Number, RpcCdProg)
 	}
 	procs := spec.Programs[0].Versions[0].Procs
-	if len(procs) != 34 {
+	if len(procs) != 35 {
 		t.Fatalf("%d procedures in spec", len(procs))
 	}
 	// Spot-check generated procedure numbers against the spec.
@@ -87,6 +87,9 @@ func TestSpecFileParsesAndMatchesGenerated(t *testing.T) {
 	}
 	if byName["BATCH_EXEC"] != ProcBatchExec {
 		t.Fatal("BATCH_EXEC procedure number diverges from cricket.x")
+	}
+	if byName["BATCH_EXEC_READ"] != ProcBatchExecRead {
+		t.Fatal("BATCH_EXEC_READ procedure number diverges from cricket.x")
 	}
 }
 

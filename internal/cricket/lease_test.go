@@ -635,6 +635,14 @@ var stubCalls = map[uint32]func(g *RpcCdVersClient) ([]int32, error){
 		}})
 		return r.Status, err
 	},
+	ProcBatchExecRead: func(g *RpcCdVersClient) ([]int32, error) {
+		r, err := g.BatchExecRead(BatchArgs{Entries: []BatchEntry{
+			{Op: BatchOpSetDevice},
+			{Op: BatchOpStreamSync},
+			{Op: BatchOpMemcpyDtoh, Handle: 1, N: 64},
+		}})
+		return r.Status, err
+	},
 	ProcSrvAttach: func(g *RpcCdVersClient) ([]int32, error) {
 		r, err := g.SrvAttach(AttachArgs{Nonce: 0x6a7e})
 		return st(r.Err, err)
@@ -700,7 +708,7 @@ func TestGateShedsEveryProcedure(t *testing.T) {
 				switch proc {
 				case ProcRpcNull:
 					want = nil
-				case ProcBatchExec:
+				case ProcBatchExec, ProcBatchExecRead:
 					want = []int32{overloadCode, overloadCode, overloadCode}
 				}
 				if !slices.Equal(status, want) {
@@ -722,11 +730,13 @@ func TestGateShedsEveryProcedure(t *testing.T) {
 // result that leads with one — what encoding that result with the
 // overload code and a void arm gives —, nothing for RPC_NULL, and a
 // counted status vector for BATCH_EXEC, whose arguments are read no
-// further than the count.
+// further than the count, and the same vector plus an empty opaque for
+// BATCH_EXEC_READ.
 func TestShedReplyGoldenBytes(t *testing.T) {
 	code := []byte{0x00, 0x00, 0x03, 0xe8} // cudaErrorServerOverloaded = 1000
 	batchArgs := []byte{0, 0, 0, 3, 0xde, 0xad}
 	batchReply := slices.Concat([]byte{0, 0, 0, 3}, code, code, code)
+	batchReadReply := slices.Concat(batchReply, []byte{0, 0, 0, 0})
 	for proc, pname := range RpcCdVersProcNames {
 		if !governed(uint32(proc)) {
 			continue
@@ -737,6 +747,8 @@ func TestShedReplyGoldenBytes(t *testing.T) {
 			want = nil
 		case ProcBatchExec:
 			want = batchReply
+		case ProcBatchExecRead:
+			want = batchReadReply
 		}
 		var out bytes.Buffer
 		enc := xdr.NewEncoder(&out)

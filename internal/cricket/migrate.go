@@ -321,6 +321,7 @@ func (s *Session) migrate(endpoint string, dial func() (io.ReadWriteCloser, erro
 		s.retired.add(old.Stats())
 	}
 	s.c = st.tc
+	s.devProven = 0
 	s.epoch = st.epoch
 	s.endpoint = endpoint
 	for v, m := range s.modules {
@@ -692,6 +693,16 @@ func (s *Session) readChunkLocked(ch migChunk, buf []byte) (uint64, error) {
 	n := size - ch.off
 	if n > migrateChunk {
 		n = migrateChunk
+	}
+	// The bracket below takes the server to be on s.dev, which a queued
+	// re-selection (BATCH_OP_SET_DEVICE) is ahead of until it flushes.
+	for i := range s.batchq {
+		if s.batchq[i].op == BatchOpSetDevice {
+			if err := s.flushBatchLocked(); err != nil {
+				return 0, fmt.Errorf("pre-copy read: %w", err)
+			}
+			break
+		}
 	}
 	bit := ch.off / migrateChunk
 	if int(bit/64) < len(*dirty) {

@@ -55,6 +55,10 @@ func batchProc(op int32) uint32 {
 		return ProcCudaEventRecord
 	case BatchOpStreamSync:
 		return ProcCudaStreamSynchronize
+	case BatchOpMemcpyDtoh:
+		return ProcCudaMemcpyDtoh
+	case BatchOpSetDevice:
+		return ProcCudaSetDevice
 	}
 	return ProcBatchExec
 }

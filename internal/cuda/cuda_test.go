@@ -1,6 +1,7 @@
 package cuda
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -629,6 +630,15 @@ func TestArgBufferLayout(t *testing.T) {
 	b = NewArgBuffer().Ptr(1).I32(2).Ptr(3).Bytes()
 	if len(b) != 24 || binary.LittleEndian.Uint64(b[16:]) != 3 {
 		t.Fatalf("padded layout wrong: len=%d", len(b))
+	}
+	// A reset buffer assembles the layout a fresh one does, in the
+	// storage it already has.
+	var a ArgBuffer
+	a.Ptr(9).I32(8).I32(7).Ptr(6).U64(5)
+	first := &a.Bytes()[0]
+	b = a.Reset().Ptr(1).I32(2).Ptr(3).Bytes()
+	if !bytes.Equal(b, NewArgBuffer().Ptr(1).I32(2).Ptr(3).Bytes()) || &b[0] != first {
+		t.Fatalf("reset buffer assembled % x, or in new storage", b)
 	}
 }
 

@@ -546,7 +546,7 @@ func TokenOf(state uint64) uint32 { return uint32(state>>32) % 50257 }
 // a serving request. Writes the prompt-derived KV-cache prefix and the
 // 8-byte state to the output slot.
 // Params: (uint64 *state, uint8 *kv, const uint8 *prompt,
-//          const uint32 *weights, int promptLen, int kvCap, int wWords).
+// const uint32 *weights, int promptLen, int kvCap, int wWords).
 func prefillKernel(mem *gpu.Mem, cfg gpu.LaunchConfig, args *gpu.Args) error {
 	statePtr, err := args.Ptr(0)
 	if err != nil {
@@ -615,7 +615,7 @@ func prefillKernel(mem *gpu.Mem, cfg gpu.LaunchConfig, args *gpu.Args) error {
 // argument buffer and the device-resident weights; the KV write models
 // cache growth but never feeds back into the state.
 // Params: (uint64 *state, uint8 *kv, const uint32 *weights, int step,
-//          uint64 prevState, int kvCap, int wWords).
+// uint64 prevState, int kvCap, int wWords).
 func decodeStepKernel(mem *gpu.Mem, cfg gpu.LaunchConfig, args *gpu.Args) error {
 	statePtr, err := args.Ptr(0)
 	if err != nil {
@@ -796,3 +796,10 @@ func (a *ArgBuffer) u64(v uint64) *ArgBuffer {
 
 // Bytes returns the assembled buffer.
 func (a *ArgBuffer) Bytes() []byte { return a.buf }
+
+// Reset empties the buffer for reuse, keeping its storage: a slice
+// Bytes returned earlier is overwritten by the next assembly.
+func (a *ArgBuffer) Reset() *ArgBuffer {
+	a.buf = a.buf[:0]
+	return a
+}
